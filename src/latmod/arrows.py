@@ -272,6 +272,25 @@ def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
 
 
+def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
+    """Smallest composition-closed, wide decomposable superset.
+
+    Closes under both directions of every composable pair at once: both
+    legs force the composite, and a composite forces both of its legs.
+    """
+    t = _tables(aset.lattice)
+
+    def step(mask: int) -> int:
+        for i, j, k in t.triples:
+            if mask >> k & 1:
+                mask |= (1 << i) | (1 << j)
+            elif mask >> i & 1 and mask >> j & 1:
+                mask |= 1 << k
+        return mask
+
+    return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
+
+
 def close_retracts(aset: ArrowSet) -> ArrowSet:
     """Close under retracts.
 

@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Any
 
@@ -58,12 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Transfer systems, model structures, and Bousfield "
         "localizations on finite lattices.",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker count for exhaustive scans (default: LATMOD_JOBS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     lattice = sub.add_parser("lattice", help="validate and describe lattices")
@@ -77,11 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = transfers_sub.add_parser("enumerate")
     _add_lattice_arg(p)
     p.add_argument("--format", choices=("json", "dot", "count"), default="json")
-    p.add_argument(
-        "--strategy",
-        choices=("auto", "exhaustive", "backtracking"),
-        default="auto",
-    )
     p.add_argument("--out")
     for name in ("dual", "generate"):
         p = transfers_sub.add_parser(name)
@@ -186,10 +174,10 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_transfers(args: argparse.Namespace, jobs: int) -> int:
+def _cmd_transfers(args: argparse.Namespace) -> int:
     lat = load_lattice(args.lattice)
     if args.subcommand == "enumerate":
-        catalog = enumerate_transfer_systems(lat, args.strategy, jobs)
+        catalog = enumerate_transfer_systems(lat)
         if args.format == "count":
             _emit(f"{len(catalog)}\n", args.out)
         elif args.format == "dot":
@@ -362,21 +350,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("LATMOD_JOBS", "1"))
-        except ValueError:
-            print("LATMOD_JOBS must be an integer", file=sys.stderr)
-            return 2
-    if jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         if args.command == "lattice":
             return _cmd_lattice(args)
         if args.command == "transfers":
-            return _cmd_transfers(args, jobs)
+            return _cmd_transfers(args)
         if args.command == "models":
             return _cmd_models(args)
         if args.command == "localize":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,6 +264,24 @@ def product(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:
         for a in range(left.n):
             covers.append((lab(a, b), lab(a, b2)))
     return build_lattice(labels, covers)
+
+
+def hasse_covers(items: Sequence, le: Callable) -> list[tuple[int, int]]:
+    """Cover pairs (i, j) of the partial order `le` on items, row-major.
+
+    items[i] is covered by items[j] when i != j, le(items[i], items[j])
+    holds, and no third item lies strictly between them.
+    """
+    k = len(items)
+    below = np.array(
+        [le(a, b) for a in items for b in items], dtype=bool
+    ).reshape(k, k)
+    strict = below & ~np.eye(k, dtype=bool)
+    # A float32 product counts the items in between exactly (k < 2**24)
+    # and runs in BLAS; numpy's boolean matmul is a much slower loop.
+    paths = strict.astype(np.float32)
+    cover = strict & ~(paths @ paths > 0)
+    return [(int(i), int(j)) for i, j in np.argwhere(cover)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from .arrows import (
     ArrowSet,
     close_retracts,
     close_two_out_of_three,
+    close_wide_decomposable,
     is_composition_closed,
     is_transfer_system,
     is_wide_decomposable,
-    lex_key,
     llp_dual,
     rlp_dual,
     _tables,
@@ -30,9 +30,7 @@ from .errors import (
     NotAWeakEquivalenceSet,
 )
 from .lattice import FiniteLattice, enumerate_short_factorizations
-from .transfers import cotransfer_systems, transfer_catalog
-
-_ENUMERATION_LIMIT = 24
+from .transfers import closed_sets, cotransfer_systems, transfer_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +71,16 @@ def is_weak_equivalence_set(weq: ArrowSet) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
-    """All weak equivalence sets, in canonical (bit vector) order."""
-    m = len(lat.arrows)
-    if m > _ENUMERATION_LIMIT:
-        raise NotAWeakEquivalenceSet(
-            f"{m} arrows is too many for exhaustive enumeration"
-        )
-    found = [
-        aset
-        for mask in range(1 << m)
-        if is_weak_equivalence_set(aset := ArrowSet(lat, mask))
-    ]
-    found.sort(key=lex_key)
-    return tuple(found)
+    """All weak equivalence sets, in canonical (bit vector) order.
+
+    Candidates are the composition-closed, wide decomposable sets, listed
+    as the fixed points of their closure; the full criterion filters them.
+    """
+    return tuple(
+        weq
+        for weq in closed_sets(lat, close_wide_decomposable)
+        if is_weak_equivalence_set(weq)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +124,11 @@ def k_max(weq: ArrowSet) -> ArrowSet:
 def t_min(weq: ArrowSet) -> ArrowSet:
     """Smallest admissible acyclic fibration class for these weak equivalences."""
     low = rlp_dual(k_max(weq)) & weq
-    assert is_transfer_system(low) and low <= t_max(weq)
+    if not (is_transfer_system(low) and low <= t_max(weq)):
+        raise MaximalityViolation(
+            f"lower end {low.signature()} of the interval of "
+            f"W={weq.signature()} is not a transfer system inside t_max"
+        )
     return low
 
 

@@ -2,16 +2,22 @@
 from __future__ import annotations
 
 import json
+import operator
 import re
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from .arrows import ArrowSet
 from .bousfield import GoldenArrowReport, LocalizationGraph
 from .errors import LatmodError, UnknownLabel
-from .lattice import FiniteLattice, build_lattice, chain, n5, product
+from .lattice import (
+    FiniteLattice,
+    build_lattice,
+    chain,
+    hasse_covers,
+    n5,
+    product,
+)
 from .models import ModelStructure, derive_classes
 from .transfers import TransferCatalog
 
@@ -44,8 +50,21 @@ def parse_lattice(data: Any) -> FiniteLattice:
     if not isinstance(data, dict) or "elements" not in data:
         raise LatmodError('lattice JSON needs an "elements" list')
     elements = data["elements"]
-    covers = [tuple(pair) for pair in data.get("covers", [])]
-    return build_lattice(elements, covers)
+    if not isinstance(elements, (list, tuple)) or not all(
+        isinstance(lab, str) for lab in elements
+    ):
+        raise LatmodError('lattice "elements" must be a list of strings')
+    covers = data.get("covers", [])
+    if not isinstance(covers, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(isinstance(lab, str) for lab in pair)
+        for pair in covers
+    ):
+        raise LatmodError(
+            'lattice "covers" must be a list of [lower, upper] label pairs'
+        )
+    return build_lattice(elements, [tuple(pair) for pair in covers])
 
 
 def serialize_lattice(lat: FiniteLattice) -> dict[str, Any]:
@@ -132,23 +151,12 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _inclusion_cover_pairs(systems: Sequence[ArrowSet]) -> list[tuple[int, int]]:
-    k = len(systems)
-    sub = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(systems):
-        for j, b in enumerate(systems):
-            sub[i, j] = a.mask & ~b.mask == 0
-    strict = sub & ~np.eye(k, dtype=bool)
-    cover = strict & ~(strict @ strict)
-    return [(int(i), int(j)) for i, j in np.argwhere(cover)]
-
-
 def systems_dot(systems: Sequence[ArrowSet], name: str = "systems") -> str:
     """Hasse diagram of a family of arrow sets under containment."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, s in enumerate(systems):
         lines.append(f"  n{i} [label={_quote(s.signature())}];")
-    for i, j in _inclusion_cover_pairs(systems):
+    for i, j in hasse_covers(systems, operator.le):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -160,21 +168,14 @@ def catalog_dot(catalog: TransferCatalog) -> str:
 
 def models_dot(structures: Sequence[ModelStructure]) -> str:
     """Hasse diagram of model structures under componentwise containment."""
-    k = len(structures)
     lines = ["digraph model_structures {", "  rankdir=BT;"]
     for i, m in enumerate(structures):
         lines.append(f"  n{i} [label={_quote(m.signature())}];")
-    below = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(structures):
-        for j, b in enumerate(structures):
-            below[i, j] = (
-                a.weq.mask & ~b.weq.mask == 0
-                and a.acyclic_fib.mask & ~b.acyclic_fib.mask == 0
-            )
-    strict = below & ~np.eye(k, dtype=bool)
-    cover = strict & ~(strict @ strict)
-    for i, j in np.argwhere(cover):
-        lines.append(f"  n{int(i)} -> n{int(j)};")
+    for i, j in hasse_covers(
+        structures,
+        lambda a, b: a.weq <= b.weq and a.acyclic_fib <= b.acyclic_fib,
+    ):
+        lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,26 +1,20 @@
 """Enumeration of transfer systems and the lattice they form."""
 from __future__ import annotations
 
-import multiprocessing
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
-
-import numpy as np
+from typing import Callable, Iterator
 
 from .arrows import (
     ArrowSet,
     close_two_out_of_three,
+    generate_cotransfer,
     generate_transfer,
-    is_cotransfer_system,
     is_transfer_system,
-    lex_key,
 )
-from .errors import NotATransferSystem
-from .lattice import Arrow, FiniteLattice, build_lattice
-
-# Above this many arrows an exhaustive 2^m scan stops being the fast path.
-_EXHAUSTIVE_LIMIT = 12
+from .errors import NotALattice, NotATransferSystem
+from .lattice import Arrow, FiniteLattice, build_lattice, hasse_covers
 
 
 @dataclass(frozen=True)
@@ -59,121 +53,51 @@ class TransferCatalog:
     def __contains__(self, system: ArrowSet) -> bool:
         return system.mask in self._positions
 
-    @cached_property
-    def containment(self) -> np.ndarray:
-        """Boolean matrix: containment[i, j] is systems[i] <= systems[j]."""
-        m = len(self.lattice.arrows)
-        bits = np.zeros((len(self.systems), m), dtype=bool)
-        for i, s in enumerate(self.systems):
-            for b in range(m):
-                bits[i, b] = bool(s.mask >> b & 1)
-        return ~(bits[:, None, :] & ~bits[None, :, :]).any(axis=2)
 
-
-def enumerate_transfer_systems(
-    lat: FiniteLattice, strategy: str = "auto", jobs: int = 1
-) -> TransferCatalog:
-    """Enumerate every transfer system on the lattice.
-
-    strategy "exhaustive" filters all 2^m subsets, "backtracking" prunes
-    on forced closures, "auto" picks by arrow count.  The worker count
-    only shards the exhaustive scan and never changes the result.
-    """
-    m = len(lat.arrows)
-    if strategy == "auto":
-        strategy = "exhaustive" if m <= _EXHAUSTIVE_LIMIT else "backtracking"
-    if strategy == "exhaustive":
-        masks = _scan_exhaustive(lat, jobs)
-    elif strategy == "backtracking":
-        masks = _backtrack(lat, is_transfer_system, _pullback_generate)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    systems = [ArrowSet(lat, mask) for mask in masks]
-    systems.sort(key=lex_key)
-    return TransferCatalog(lat, tuple(systems))
-
-
-def enumerate_cotransfer_systems(
-    lat: FiniteLattice, strategy: str = "auto"
+def closed_sets(
+    lat: FiniteLattice, close: Callable[[ArrowSet], ArrowSet]
 ) -> tuple[ArrowSet, ...]:
-    """Every cotransfer system, in the same canonical order."""
-    m = len(lat.arrows)
-    if strategy == "auto":
-        strategy = "exhaustive" if m <= _EXHAUSTIVE_LIMIT else "backtracking"
-    if strategy == "exhaustive":
-        masks = [
-            mask
-            for mask in range(1 << m)
-            if is_cotransfer_system(ArrowSet(lat, mask))
-        ]
-    elif strategy == "backtracking":
-        masks = _backtrack(lat, is_cotransfer_system, _pushout_generate)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    systems = [ArrowSet(lat, mask) for mask in masks]
-    systems.sort(key=lex_key)
-    return tuple(systems)
+    """Every fixed point of a closure operator on the lattice's arrow sets.
 
-
-def _pullback_generate(lat: FiniteLattice, mask: int) -> int:
-    return generate_transfer(ArrowSet(lat, mask)).mask
-
-
-def _pushout_generate(lat: FiniteLattice, mask: int) -> int:
-    from .arrows import generate_cotransfer
-
-    return generate_cotransfer(ArrowSet(lat, mask)).mask
-
-
-def _backtrack(lat: FiniteLattice, is_closed, generate) -> list[int]:
-    """Enumerate closed masks by deciding one arrow at a time.
-
-    Including an arrow immediately forces its generated closure; a branch
-    dies as soon as that closure meets an excluded arrow.  Each closed set
-    is produced exactly once because the first differing arrow was decided
-    by a distinct branch.
+    The search decides one arrow at a time, in canonical order.  Including
+    an arrow immediately forces the closure of the set so far; a branch
+    dies as soon as that closure meets an excluded arrow.  Every closed set
+    is produced exactly once, because the first arrow on which two closed
+    sets differ was decided by distinct branches.  Every arrow before the
+    current one is already decided and the exclusion branch is walked
+    first, so the output comes out in canonical (lex_key) order.
     """
     m = len(lat.arrows)
-    out: list[int] = []
+    out: list[ArrowSet] = []
 
     def walk(i: int, included: int, excluded: int) -> None:
         while i < m and (included >> i & 1 or excluded >> i & 1):
             i += 1
         if i == m:
-            out.append(included)
+            out.append(ArrowSet(lat, included))
             return
         walk(i + 1, included, excluded | 1 << i)
-        grown = generate(lat, included | 1 << i)
+        grown = close(ArrowSet(lat, included | 1 << i)).mask
         if not grown & excluded:
             walk(i + 1, grown, excluded)
 
-    walk(0, 0, 0)
-    return out
+    walk(0, close(ArrowSet.empty(lat)).mask, 0)
+    return tuple(out)
 
 
-def _scan_chunk(args: tuple[FiniteLattice, int, int]) -> list[int]:
-    lat, lo, hi = args
-    return [
-        mask for mask in range(lo, hi) if is_transfer_system(ArrowSet(lat, mask))
-    ]
+def enumerate_transfer_systems(lat: FiniteLattice) -> TransferCatalog:
+    """Enumerate every transfer system on the lattice."""
+    return TransferCatalog(lat, closed_sets(lat, generate_transfer))
 
 
-def _scan_exhaustive(lat: FiniteLattice, jobs: int) -> list[int]:
-    total = 1 << len(lat.arrows)
-    if jobs <= 1:
-        return _scan_chunk((lat, 0, total))
-    step = -(-total // jobs)
-    chunks = [
-        (lat, lo, min(lo + step, total)) for lo in range(0, total, step)
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_scan_chunk, chunks)
-    return [mask for part in parts for mask in part]
+def enumerate_cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
+    """Every cotransfer system, in the same canonical order."""
+    return closed_sets(lat, generate_cotransfer)
 
 
 @lru_cache(maxsize=None)
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
-    """Cached default-strategy catalog for repeated structural queries."""
+    """Cached catalog for repeated structural queries."""
     return enumerate_transfer_systems(lat)
 
 
@@ -191,7 +115,10 @@ def tr_meet(catalog: TransferCatalog, a: ArrowSet, b: ArrowSet) -> ArrowSet:
     catalog.position(a)
     catalog.position(b)
     met = a & b
-    assert met in catalog, "intersection of transfer systems must be one"
+    if met not in catalog:
+        raise NotATransferSystem(
+            f"intersection {met.signature()} of transfer systems is not one"
+        )
     return met
 
 
@@ -200,7 +127,10 @@ def tr_join(catalog: TransferCatalog, a: ArrowSet, b: ArrowSet) -> ArrowSet:
     catalog.position(a)
     catalog.position(b)
     joined = generate_transfer(a | b)
-    assert joined in catalog, "generated join must be in the catalog"
+    if joined not in catalog:
+        raise NotATransferSystem(
+            f"generated join {joined.signature()} is not in the catalog"
+        )
     return joined
 
 
@@ -212,22 +142,26 @@ def tr_as_lattice(catalog: TransferCatalog) -> FiniteLattice:
     """
     systems = catalog.systems
     labels = [s.signature() for s in systems]
-    sub = catalog.containment
-    strict = sub & ~np.eye(len(systems), dtype=bool)
-    cover = strict & ~(strict @ strict)
     lat = build_lattice(
         labels,
-        [(labels[i], labels[j]) for i, j in np.argwhere(cover)],
+        [
+            (labels[i], labels[j])
+            for i, j in hasse_covers(systems, operator.le)
+        ],
     )
     # Catalog order is a linear extension of containment, so positions
     # survive the canonical reordering and the tables must agree.
-    assert list(lat.labels) == labels
+    if list(lat.labels) != labels:
+        raise NotALattice("containment order reordered the transfer systems")
     for i in range(len(systems)):
         for j in range(len(systems)):
-            met = tr_meet(catalog, systems[i], systems[j])
-            joined = tr_join(catalog, systems[i], systems[j])
-            assert lat.meet(i, j) == catalog.position(met)
-            assert lat.join(i, j) == catalog.position(joined)
+            met = catalog.position(tr_meet(catalog, systems[i], systems[j]))
+            joined = catalog.position(tr_join(catalog, systems[i], systems[j]))
+            if lat.meet(i, j) != met or lat.join(i, j) != joined:
+                raise NotALattice(
+                    f"containment order of {systems[i].signature()} and "
+                    f"{systems[j].signature()} disagrees with tr_meet/tr_join"
+                )
     return lat
 
 

@@ -11,6 +11,7 @@ from latmod import (
     close_pushout,
     close_retracts,
     close_two_out_of_three,
+    close_wide_decomposable,
     compose_sets,
     generate_transfer,
     is_composition_closed,
@@ -123,6 +124,18 @@ def test_closures_match_oracle_on_random_grid_subsets(grid21):
 def test_two_out_of_three_worked_example(pentagon):
     start = ArrowSet.from_labels(pentagon, [("0", "A"), ("A", "1")])
     assert close_two_out_of_three(start).signature() == "{0->A, 0->1, A->1}"
+
+
+def test_wide_decomposable_closure_fixes_exactly_the_candidates(
+    pentagon, grid21
+):
+    for lat in (pentagon, grid21):
+        for mask in range(1 << len(lat.arrows)):
+            aset = ArrowSet(lat, mask)
+            fixed = close_wide_decomposable(aset).mask == mask
+            assert fixed == (
+                is_composition_closed(aset) and is_wide_decomposable(aset)
+            )
 
 
 def test_retract_closure_is_identity(pentagon, grid21):

@@ -59,6 +59,23 @@ def test_lattice_info(cli):
     assert lines[4] == "modular: no"
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"elements": [0, 1, 2], "covers": [[0, 1], [1, 2]]},
+        {"elements": ["a"], "covers": [["a"]]},
+        {"elements": "ab", "covers": []},
+    ],
+    ids=["integer-labels", "one-element-cover", "string-elements"],
+)
+def test_malformed_lattice_json_is_invalid_input(cli, tmp_path, data):
+    path = write_json(tmp_path / "bad.json", data)
+    code, out, err = cli("lattice", "info", "--lattice", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: lattice ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_builtin_is_invalid_input(cli):
     code, _, err = cli("lattice", "check", "--lattice", "builtin:bogus")
     assert code == 3
@@ -82,37 +99,16 @@ def test_transfers_json_catalog(cli):
     assert len(data["systems"][-1]["arrows"]) == 8
 
 
-def test_transfers_strategies_and_jobs_agree(cli):
-    base = cli("transfers", "enumerate", "--lattice", "builtin:n5")
-    for extra in (
-        ("--strategy", "exhaustive"),
-        ("--strategy", "backtracking"),
-    ):
-        assert (
-            cli("transfers", "enumerate", "--lattice", "builtin:n5", *extra)
-            == base
-        )
-    assert (
-        cli("--jobs", "2", "transfers", "enumerate", "--lattice", "builtin:n5")
-        == base
-    )
-
-
-def test_jobs_validation(cli, monkeypatch):
-    code, _, err = cli(
-        "--jobs", "0", "transfers", "enumerate", "--lattice", "builtin:n5"
-    )
-    assert code == 2
-    assert "at least 1" in err
-    monkeypatch.setenv("LATMOD_JOBS", "zero")
-    code, _, err = cli("transfers", "enumerate", "--lattice", "builtin:n5")
-    assert code == 2
-    assert "LATMOD_JOBS" in err
-    monkeypatch.setenv("LATMOD_JOBS", "2")
+def test_enumeration_takes_no_strategy_or_jobs(cli):
     code, out, _ = cli(
-        "transfers", "enumerate", "--lattice", "builtin:n5", "--format", "count"
+        "--jobs", "2", "transfers", "enumerate", "--lattice", "builtin:n5"
     )
-    assert (code, out) == (0, "26\n")
+    assert (code, out) == (2, "")
+    code, out, _ = cli(
+        "transfers", "enumerate", "--lattice", "builtin:n5",
+        "--strategy", "exhaustive",
+    )
+    assert (code, out) == (2, "")
 
 
 def test_transfers_dual(cli, tmp_path):
@@ -149,6 +145,13 @@ def test_models_count_only(cli):
         "models", "enumerate", "--lattice", "builtin:n5", "--count-only"
     )
     assert (code, out) == (0, "70\n")
+
+
+def test_models_count_only_on_chain7(cli):
+    code, out, _ = cli(
+        "models", "enumerate", "--lattice", "builtin:chain7", "--count-only"
+    )
+    assert (code, out) == (0, "6435\n")
 
 
 def test_models_json(cli):

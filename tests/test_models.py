@@ -17,11 +17,13 @@ from latmod import (
     is_weak_equivalence_set,
     is_wide_decomposable,
     k_max,
+    product,
     t_max,
     t_min,
     transfer_catalog,
     verify_model_axioms,
 )
+from latmod.arrows import lex_key
 
 
 def test_n5_has_22_weak_equivalence_sets(pentagon):
@@ -33,6 +35,30 @@ def test_weq_census_small_lattices(square, grid21):
     assert len(enumerate_weak_equivalence_sets(grid21)) == 48
     for n in (1, 2, 3):
         assert len(enumerate_weak_equivalence_sets(chain(n))) == 2**n
+
+
+def test_weq_sets_match_exhaustive_filter(corpus):
+    for lat in (*corpus.values(), chain(4), chain(5)):
+        every = [ArrowSet(lat, mask) for mask in range(1 << len(lat.arrows))]
+        expected = [w for w in every if is_weak_equivalence_set(w)]
+        expected.sort(key=lex_key)
+        assert enumerate_weak_equivalence_sets(lat) == tuple(expected)
+
+
+def test_weq_counts_beyond_the_old_arrow_cutoff():
+    # grid3x1 has 22 arrows, grid2x2 27 and chain7 28.
+    for lat, count in (
+        (product(chain(3), chain(1)), 216),
+        (product(chain(2), chain(2)), 500),
+        (chain(7), 128),
+    ):
+        assert len(enumerate_weak_equivalence_sets(lat)) == count
+
+
+def test_chain6_models_are_binomial_and_pass_the_axioms():
+    models = enumerate_model_structures(chain(6))
+    assert len(models) == math.comb(13, 6) == 1716
+    assert all(verify_model_axioms(m) for m in models)
 
 
 def test_every_wide_subcategory_of_n5_qualifies(pentagon):

@@ -14,6 +14,7 @@ from latmod import (
     close_pushout,
     close_retracts,
     close_two_out_of_three,
+    close_wide_decomposable,
     find_sublattice_embedding,
     generate_transfer,
     is_cotransfer_system,
@@ -33,6 +34,7 @@ CLOSURES = (
     close_pullback,
     close_pushout,
     close_two_out_of_three,
+    close_wide_decomposable,
     close_retracts,
 )
 

@@ -8,7 +8,7 @@ from latmod import (
     chain,
     cotransfer_systems,
     enumerate_cotransfer_systems,
-    enumerate_transfer_systems,
+    is_cotransfer_system,
     is_saturated,
     is_transfer_system,
     llp_dual,
@@ -38,8 +38,8 @@ def test_chain_counts_are_catalan():
         assert len(transfer_catalog(chain(n))) == catalan(n + 1)
 
 
-def test_catalog_matches_naive_filter(pentagon, square):
-    for lat in (pentagon, square):
+def test_catalog_matches_naive_filter(pentagon, square, grid21):
+    for lat in (pentagon, square, grid21, chain(3)):
         n, leq, _, meets, _ = lattice_as_sets(lat)
         every = [(f.source, f.target) for f in lat.arrows]
         naive = {
@@ -53,18 +53,12 @@ def test_catalog_matches_naive_filter(pentagon, square):
         assert ours == naive
 
 
-def test_strategies_agree(pentagon, grid21):
-    for lat in (pentagon, grid21, chain(3)):
-        exhaustive = enumerate_transfer_systems(lat, "exhaustive")
-        backtracking = enumerate_transfer_systems(lat, "backtracking")
-        assert [s.mask for s in exhaustive] == [s.mask for s in backtracking]
-
-
-def test_jobs_do_not_change_output(pentagon, grid21):
-    for lat in (pentagon, grid21):
-        one = enumerate_transfer_systems(lat, "exhaustive", jobs=1)
-        three = enumerate_transfer_systems(lat, "exhaustive", jobs=3)
-        assert [s.mask for s in one] == [s.mask for s in three]
+def test_cotransfer_systems_match_exhaustive_filter(corpus):
+    for lat in corpus.values():
+        every = [ArrowSet(lat, mask) for mask in range(1 << len(lat.arrows))]
+        expected = [s for s in every if is_cotransfer_system(s)]
+        expected.sort(key=lex_key)
+        assert cotransfer_systems(lat) == tuple(expected)
 
 
 def test_catalog_is_sorted_and_containment_consistent(pentagon):
