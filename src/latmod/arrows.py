@@ -132,10 +132,14 @@ class _Tables:
         "pull",
         "push",
         "triples",
+        "triangles",
         "by_composite",
-        "factor_options",
         "kill_llp",
         "kill_rlp",
+        "cover_mask",
+        "up",
+        "down",
+        "retracts",
     )
 
     def __init__(self, lat: FiniteLattice) -> None:
@@ -152,25 +156,28 @@ class _Tables:
         )
 
         # (i, j, k) with arrow_k = arrow_j o arrow_i, all non-identity.
+        # Sources descend and, within a source, targets ascend: a triple's
+        # legs are composites only of triples listed before it, so one
+        # pass in this order closes a set under composition.
         triples: list[tuple[int, int, int]] = []
-        for k, (x, z) in enumerate(arrows):
-            for y in range(x + 1, z):
-                if lat.lt(x, y) and lat.lt(y, z):
-                    triples.append((pos[Arrow(x, y)], pos[Arrow(y, z)], k))
-        self.triples = tuple(triples)
+        for x in reversed(range(lat.n)):
+            for z in range(x + 1, lat.n):
+                if not lat.lt(x, z):
+                    continue
+                for y in range(x + 1, z):
+                    if lat.lt(x, y) and lat.lt(y, z):
+                        triples.append(
+                            (pos[Arrow(x, y)], pos[Arrow(y, z)], pos[Arrow(x, z)])
+                        )
+        # The same triples as single-bit masks, and as three-bit masks.
+        self.triples = tuple((1 << i, 1 << j, 1 << k) for i, j, k in triples)
+        self.triangles = tuple(a | b | c for a, b, c in self.triples)
 
         by_comp: dict[int, list[tuple[int, int]]] = {}
         for i, j, k in triples:
             by_comp.setdefault(k, []).append((i, j))
         self.by_composite = tuple(
             tuple(by_comp.get(k, ())) for k in range(self.m)
-        )
-
-        # Ways to factor arrow k as lower-then-upper through any midpoint,
-        # with None meaning an identity leg.
-        self.factor_options = tuple(
-            ((None, k), (k, None)) + self.by_composite[k]
-            for k in range(self.m)
         )
 
         self.kill_llp = [0] * self.m
@@ -183,6 +190,27 @@ class _Tables:
                     self.kill_llp[j] |= 1 << i
                 if lat.le(x, a) and lat.le(y, b) and not lat.le(y, a):
                     self.kill_rlp[j] |= 1 << i
+
+        self.cover_mask = _mask_of(pos, lat.covers)
+        # Element masks: up[x] holds the y with x < y, down[x] the y <= x.
+        elems = range(lat.n)
+        self.up = tuple(
+            sum(1 << y for y in elems if lat.lt(x, y)) for x in elems
+        )
+        self.down = tuple(
+            sum(1 << y for y in elems if lat.le(y, x)) for x in elems
+        )
+        # retracts[k]: the arrows a -> b with a order-isomorphic to the
+        # source of arrow k and b to its target (a <= x <= a, b <= y <= b).
+        iso = [
+            [a for a in elems if lat.le(a, x) and lat.le(x, a)] for x in elems
+        ]
+        self.retracts = tuple(
+            _mask_of(
+                pos, [Arrow(a, b) for a in iso[x] for b in iso[y] if a != b]
+            )
+            for x, y in arrows
+        )
 
 
 def _mask_of(pos: dict[Arrow, int], arrows: Iterable[Arrow]) -> int:
@@ -220,42 +248,42 @@ def _fixpoint(t: _Tables, mask: int, step) -> int:
 
 
 def close_composition(aset: ArrowSet) -> ArrowSet:
-    """Smallest superset closed under composition of composable pairs."""
+    """Smallest superset closed under composition of composable pairs.
+
+    A single pass, thanks to the order of the triples (see _Tables).
+    """
     t = _tables(aset.lattice)
+    mask = aset.mask
+    for first, second, composite in t.triples:
+        if mask & first and mask & second:
+            mask |= composite
+    return ArrowSet(aset.lattice, mask)
 
-    def step(mask: int) -> int:
-        for i, j, k in t.triples:
-            if mask >> i & 1 and mask >> j & 1:
-                mask |= 1 << k
-        return mask
 
-    return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
+def _union_rows(rows: tuple[int, ...], mask: int) -> int:
+    out = mask
+    for i in _bits(mask):
+        out |= rows[i]
+    return out
 
 
 def close_pullback(aset: ArrowSet) -> ArrowSet:
-    """Smallest superset containing all nontrivial pullbacks of its members."""
+    """Smallest superset containing all nontrivial pullbacks of its members.
+
+    One pass suffices: a pullback of a pullback of f is a pullback of f
+    (meets are associative), so each pull row is closed under pull.
+    """
     t = _tables(aset.lattice)
-
-    def step(mask: int) -> int:
-        out = mask
-        for i in _bits(mask):
-            out |= t.pull[i]
-        return out
-
-    return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
+    return ArrowSet(aset.lattice, _union_rows(t.pull, aset.mask))
 
 
 def close_pushout(aset: ArrowSet) -> ArrowSet:
-    """Smallest superset containing all nontrivial pushouts of its members."""
+    """Smallest superset containing all nontrivial pushouts of its members.
+
+    One pass suffices, dually to close_pullback (joins are associative).
+    """
     t = _tables(aset.lattice)
-
-    def step(mask: int) -> int:
-        out = mask
-        for i in _bits(mask):
-            out |= t.push[i]
-        return out
-
-    return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
+    return ArrowSet(aset.lattice, _union_rows(t.push, aset.mask))
 
 
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
@@ -263,10 +291,11 @@ def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     t = _tables(aset.lattice)
 
     def step(mask: int) -> int:
-        for i, j, k in t.triples:
-            has = (mask >> i & 1) + (mask >> j & 1) + (mask >> k & 1)
-            if has == 2:
-                mask |= (1 << i) | (1 << j) | (1 << k)
+        for triangle in t.triangles:
+            has = mask & triangle
+            # exactly two of the three arrows: not all, and not at most one
+            if has != triangle and has & (has - 1):
+                mask |= triangle
         return mask
 
     return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
@@ -281,11 +310,11 @@ def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
     t = _tables(aset.lattice)
 
     def step(mask: int) -> int:
-        for i, j, k in t.triples:
-            if mask >> k & 1:
-                mask |= (1 << i) | (1 << j)
-            elif mask >> i & 1 and mask >> j & 1:
-                mask |= 1 << k
+        for first, second, composite in t.triples:
+            if mask & composite:
+                mask |= first | second
+            elif mask & first and mask & second:
+                mask |= composite
         return mask
 
     return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
@@ -296,22 +325,11 @@ def close_retracts(aset: ArrowSet) -> ArrowSet:
 
     A retract diagram around g: x -> y needs maps a -> x -> a and
     b -> y -> b, which in a poset force a = x and b = y, so this always
-    returns its input; it is kept as a genuine check of that fact.
+    returns its input; it is kept as a genuine check of that fact, read
+    from the per-arrow table of order-isomorphic endpoints.
     """
-    lat = aset.lattice
-    pos = lat.arrow_position
-    mask = aset.mask
-    for g in aset:
-        x, y = g
-        for a in range(lat.n):
-            if not (lat.le(a, x) and lat.le(x, a)):
-                continue
-            for b in range(lat.n):
-                if not (lat.le(b, y) and lat.le(y, b)):
-                    continue
-                if a != b:
-                    mask |= 1 << pos[Arrow(a, b)]
-    return ArrowSet(lat, mask)
+    t = _tables(aset.lattice)
+    return ArrowSet(aset.lattice, _union_rows(t.retracts, aset.mask))
 
 
 def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
@@ -320,11 +338,12 @@ def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
     The identity padding means the result contains both inputs; no
     closure is applied beyond the single composition.
     """
-    mask = upper.mask | upper._compatible(lower)
+    low, high = lower.mask, upper.mask
+    mask = high | upper._compatible(lower)
     t = _tables(upper.lattice)
-    for i, j, k in t.triples:
-        if lower.mask >> i & 1 and upper.mask >> j & 1:
-            mask |= 1 << k
+    for first, second, composite in t.triples:
+        if low & first and high & second:
+            mask |= composite
     return ArrowSet(upper.lattice, mask)
 
 
@@ -335,8 +354,8 @@ def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
 def is_composition_closed(aset: ArrowSet) -> bool:
     t = _tables(aset.lattice)
     mask = aset.mask
-    for i, j, k in t.triples:
-        if mask >> i & 1 and mask >> j & 1 and not mask >> k & 1:
+    for first, second, composite in t.triples:
+        if mask & first and mask & second and not mask & composite:
             return False
     return True
 

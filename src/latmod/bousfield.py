@@ -9,10 +9,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .arrows import (
     ArrowSet,
+    _bits,
+    _tables,
+    _union_rows,
     close_two_out_of_three,
     compose_sets,
     generate_cotransfer,
@@ -31,23 +35,36 @@ from .models import (
 
 def weq_components(weq: ArrowSet) -> tuple[tuple[int, ...], ...]:
     """Blocks of elements connected by weak equivalences, sorted by minimum."""
-    lat = weq.lattice
-    parent = list(range(lat.n))
+    linked = _linked(weq)
+    blocks: list[tuple[int, ...]] = []
+    seen = 0
+    for x in range(weq.lattice.n):
+        if not seen >> x & 1:
+            block = _block(linked, x)
+            seen |= block
+            blocks.append(tuple(_bits(block)))
+    return tuple(blocks)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for f in weq:
-        a, b = find(f.source), find(f.target)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    blocks: dict[int, list[int]] = {}
-    for x in range(lat.n):
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(tuple(blocks[root]) for root in sorted(blocks))
+def _linked(weq: ArrowSet) -> list[int]:
+    # Element masks: each element with its neighbours along weq arrows.
+    linked = [1 << x for x in range(weq.lattice.n)]
+    arrows = weq.lattice.arrows
+    for k in _bits(weq.mask):
+        a, b = arrows[k]
+        linked[a] |= 1 << b
+        linked[b] |= 1 << a
+    return linked
+
+
+def _block(linked: list[int], x: int) -> int:
+    # Element mask of the block of x, grown breadth first.
+    block = frontier = 1 << x
+    while frontier:
+        grown = _union_rows(linked, frontier)
+        frontier = grown & ~block
+        block |= grown
+    return block
 
 
 @dataclass(frozen=True)
@@ -58,12 +75,6 @@ class GoldenArrowReport:
     targets: tuple[int, ...]
     sources: tuple[int, ...]
     golden: ArrowSet
-
-
-def _maximal(lat: FiniteLattice, elems: list[int]) -> list[int]:
-    return [
-        x for x in elems if not any(lat.lt(x, y) for y in elems if y != x)
-    ]
 
 
 def golden_arrows(
@@ -82,33 +93,48 @@ def golden_arrows(
         raise NotShort(f"{lat.arrow_name(f)} is not a cover")
     if f in model.weq:
         return ()
-    new_weq = _localize_weq(model, f, side="right")
-    comps = weq_components(model.weq)
-    block_of = {x: comp for comp in comps for x in comp}
+    return _golden_reports(model, _localize_weq(model, f, side="right"))
+
+
+def _golden_reports(
+    model: ModelStructure, new_weq: ArrowSet
+) -> tuple[GoldenArrowReport, ...]:
+    # Element sets are int masks over element indices; bit order is
+    # index order, so targets and sources come out ascending.
+    lat = model.lattice
+    t = _tables(lat)
+    new_covers = new_weq.mask & ~model.weq.mask & t.cover_mask
+    if not new_covers:
+        return ()
+    linked = _linked(model.weq)
+    arrows, pos = lat.arrows, lat.arrow_position
     reports: list[GoldenArrowReport] = []
-    for sigma in lat.covers:
-        if sigma not in new_weq or sigma in model.weq:
-            continue
-        targets = _maximal(lat, list(block_of[sigma.target]))
-        under = [
-            y
-            for y in block_of[sigma.source]
-            if any(lat.le(y, t) for t in targets)
-        ]
-        sources = _maximal(lat, under)
-        golden = ArrowSet.of(
-            lat,
-            [
-                Arrow(s, t)
-                for s in sources
-                for t in targets
-                if s != t and lat.le(s, t)
-            ],
-        )
+    for k in _bits(new_covers):
+        sigma = arrows[k]
+        targets = _maximal(t, _block(linked, sigma.target))
+        below = _union_rows(t.down, targets)
+        sources = _maximal(t, _block(linked, sigma.source) & below)
+        golden = 0
+        for s in _bits(sources):
+            for y in _bits(t.up[s] & targets):
+                golden |= 1 << pos[Arrow(s, y)]
         reports.append(
-            GoldenArrowReport(sigma, tuple(targets), tuple(sources), golden)
+            GoldenArrowReport(
+                sigma,
+                tuple(_bits(targets)),
+                tuple(_bits(sources)),
+                ArrowSet(lat, golden),
+            )
         )
     return tuple(reports)
+
+
+def _maximal(t, elems: int) -> int:
+    out = 0
+    for x in _bits(elems):
+        if not t.up[x] & elems:
+            out |= 1 << x
+    return out
 
 
 def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
@@ -160,8 +186,10 @@ def right_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
         return model
     if f in model.lattice.covers:
         new_weq = _localize_weq(model, f, side="right")
-        new_af = generate_transfer(model.acyclic_fib | golden_arrow_set(model, f))
-        localized = derive_classes(new_weq, new_af)
+        generators = model.acyclic_fib
+        for report in _golden_reports(model, new_weq):
+            generators |= report.golden
+        localized = derive_classes(new_weq, generate_transfer(generators))
     else:
         localized = model
         for sigma in enumerate_short_factorizations(model.lattice, f)[0]:
@@ -211,10 +239,24 @@ class LocalizationGraph:
     def __len__(self) -> int:
         return len(self.structures)
 
-    def neighbours(self, i: int) -> Iterator[int]:
+    @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        # Edge targets per source, in edge order, duplicates kept.
+        out: list[list[int]] = [[] for _ in self.structures]
         for e in self.edges:
-            if e.src == i:
-                yield e.dst
+            out[e.src].append(e.dst)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def _undirected(self) -> tuple[frozenset[int], ...]:
+        out: list[set[int]] = [set(succ) for succ in self._successors]
+        for src, succ in enumerate(self._successors):
+            for dst in succ:
+                out[dst].add(src)
+        return tuple(map(frozenset, out))
+
+    def neighbours(self, i: int) -> Iterator[int]:
+        return iter(self._successors[i])
 
 
 def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
@@ -242,36 +284,27 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     return LocalizationGraph(structures, tuple(edges), trivial)
 
 
-def reachable_from_trivial(graph: LocalizationGraph) -> frozenset[int]:
-    """Indices of structures reachable from the trivial one by localizations."""
-    seen = {graph.trivial_index}
+def _search(adjacency, start: int) -> frozenset[int]:
+    seen = {start}
     queue = deque(seen)
     while queue:
-        node = queue.popleft()
-        for nxt in graph.neighbours(node):
+        for nxt in adjacency[queue.popleft()]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
 
 
+def reachable_from_trivial(graph: LocalizationGraph) -> frozenset[int]:
+    """Indices of structures reachable from the trivial one by localizations."""
+    return _search(graph._successors, graph.trivial_index)
+
+
 def is_weakly_connected(graph: LocalizationGraph) -> bool:
     """Whether the graph is connected when edge directions are ignored."""
     if not graph.structures:
         return True
-    adj: dict[int, set[int]] = {i: set() for i in range(len(graph))}
-    for edge in graph.edges:
-        adj[edge.src].add(edge.dst)
-        adj[edge.dst].add(edge.src)
-    seen = {0}
-    queue = deque(seen)
-    while queue:
-        node = queue.popleft()
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(graph)
+    return len(_search(graph._undirected, 0)) == len(graph)
 
 
 def smallest_weq_superset(lat: FiniteLattice, base: ArrowSet) -> ArrowSet:

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 failed expectation, 2 usage error, 3 invalid
-input.
+input, 141 standard output closed by the reader before all was written.
 """
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Any
 
@@ -49,6 +50,9 @@ from .transfers import (
     singly_generated_transfers,
     transfer_catalog,
 )
+
+
+_EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,21 +354,27 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler = {
+        "lattice": _cmd_lattice,
+        "transfers": _cmd_transfers,
+        "models": _cmd_models,
+        "localize": _cmd_localize,
+        "graph": _cmd_graph,
+    }.get(args.command, _cmd_reproduce)
     try:
-        if args.command == "lattice":
-            return _cmd_lattice(args)
-        if args.command == "transfers":
-            return _cmd_transfers(args)
-        if args.command == "models":
-            return _cmd_models(args)
-        if args.command == "localize":
-            return _cmd_localize(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        return _cmd_reproduce(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except LatmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader went away (`latmod ... | head -1`).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again, and
+        # exit with the status a shell reports for death by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

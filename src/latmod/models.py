@@ -16,6 +16,7 @@ from .arrows import (
     close_retracts,
     close_two_out_of_three,
     close_wide_decomposable,
+    compose_sets,
     is_composition_closed,
     is_transfer_system,
     is_wide_decomposable,
@@ -93,10 +94,7 @@ def t_max(weq: ArrowSet) -> ArrowSet:
     Computed as the union of all catalog systems contained in weq and
     verified closed; failure of closure would contradict maximality.
     """
-    union = ArrowSet.empty(weq.lattice)
-    for system in transfer_catalog(weq.lattice):
-        if system <= weq:
-            union |= system
+    union = _union_inside(transfer_catalog(weq.lattice), weq)
     if not is_transfer_system(union):
         raise MaximalityViolation(
             "union of transfer systems inside the weak equivalences "
@@ -109,16 +107,23 @@ def k_max(weq: ArrowSet) -> ArrowSet:
     """Largest cotransfer system inside the weak equivalences."""
     from .arrows import is_cotransfer_system
 
-    union = ArrowSet.empty(weq.lattice)
-    for system in cotransfer_systems(weq.lattice):
-        if system <= weq:
-            union |= system
+    union = _union_inside(cotransfer_systems(weq.lattice), weq)
     if not is_cotransfer_system(union):
         raise MaximalityViolation(
             "union of cotransfer systems inside the weak equivalences "
             "is not itself a cotransfer system"
         )
     return union
+
+
+def _union_inside(systems, weq: ArrowSet) -> ArrowSet:
+    # Union of the systems contained in weq, compared as raw masks.
+    outside = ~weq.mask
+    union = 0
+    for system in systems:
+        if not system.mask & outside:
+            union |= system.mask
+    return ArrowSet(weq.lattice, union)
 
 
 def t_min(weq: ArrowSet) -> ArrowSet:
@@ -139,12 +144,12 @@ def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
         raise NotAWeakEquivalenceSet(
             f"{weq.signature()} is not a weak equivalence set"
         )
-    lo = t_min(weq)
-    hi = t_max(weq)
+    lo = t_min(weq).mask
+    outside = ~t_max(weq).mask
     return tuple(
         system
         for system in transfer_catalog(weq.lattice)
-        if lo <= system and system <= hi
+        if not lo & ~system.mask and not system.mask & outside
     )
 
 
@@ -182,8 +187,16 @@ def derive_classes(
     admissible interval of W (which also validates W itself).
     """
     if check:
+        # Catalog order refines containment, so the interval runs from
+        # t_min to t_max and AF is in it exactly when it is a transfer
+        # system between the two.
         interval = af_interval(weq)
-        if all(acyclic_fib.mask != s.mask for s in interval):
+        af = acyclic_fib.mask
+        if (
+            interval[0].mask & ~af
+            or af & ~interval[-1].mask
+            or not is_transfer_system(acyclic_fib)
+        ):
             raise NotAdmissible(
                 f"AF={acyclic_fib.signature()} is outside the admissible "
                 f"interval of W={weq.signature()}"
@@ -229,19 +242,10 @@ def verify_model_axioms(model: ModelStructure) -> bool:
         return False
     if af.mask != (fib & weq).mask:
         return False
-    t = _tables(lat)
-    for k in range(t.m):
-        if not _factors_through(t, k, cof.mask, af.mask):
-            return False
-        if not _factors_through(t, k, ac.mask, fib.mask):
-            return False
-    return True
-
-
-def _factors_through(t, k: int, lower: int, upper: int) -> bool:
-    # Arrow k must split as a lower-class leg then an upper-class leg,
-    # identity legs allowed.
-    for i, j in t.factor_options[k]:
-        if (i is None or lower >> i & 1) and (j is None or upper >> j & 1):
-            return True
-    return False
+    # Every arrow must split as a lower-class leg then an upper-class leg,
+    # identity legs allowed: exactly what compose_sets collects.
+    full = ArrowSet.full(lat).mask
+    return (
+        compose_sets(af, cof).mask == full
+        and compose_sets(fib, ac).mask == full
+    )

@@ -241,3 +241,58 @@ def generated_transfer_by_intersection(
     for s in containing[1:]:
         out = out & s
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# localization oracles
+
+
+def naive_components(n: int, arrows: frozenset[Pair]) -> list[frozenset[int]]:
+    """Blocks of elements joined by the arrows, ignoring direction."""
+    block = {x: frozenset({x}) for x in range(n)}
+    for x, y in arrows:
+        merged = block[x] | block[y]
+        for z in merged:
+            block[z] = merged
+    return [block[x] for x in range(n)]
+
+
+def naive_golden_reports(
+    n: int,
+    leq: set[Pair],
+    covers: set[Pair],
+    old_weq: frozenset[Pair],
+    new_weq: frozenset[Pair],
+) -> list[tuple[Pair, tuple[int, ...], tuple[int, ...], frozenset[Pair]]]:
+    """Golden arrow reports of a right localization, from the definition.
+
+    One (cover, targets, sources, golden arrows) entry per cover that is
+    in new_weq but not old_weq, in sorted cover order.  Targets are the
+    maximal elements of the old block of the cover's target, sources the
+    maximal elements of the old block of its source lying under some
+    target, and the golden arrows pair comparable sources and targets.
+    """
+    block = naive_components(n, old_weq)
+
+    def maximal(elems: list[int]) -> list[int]:
+        return [
+            x
+            for x in elems
+            if not any(x != y and (x, y) in leq for y in elems)
+        ]
+
+    reports = []
+    for cover in sorted(covers):
+        if cover not in new_weq or cover in old_weq:
+            continue
+        s, t = cover
+        targets = maximal(sorted(block[t]))
+        under = [
+            y for y in sorted(block[s]) if any((y, z) in leq for z in targets)
+        ]
+        sources = maximal(under)
+        golden = frozenset(
+            (a, b) for a in sources for b in targets if a != b and (a, b) in leq
+        )
+        reports.append((cover, tuple(targets), tuple(sources), golden))
+    return reports

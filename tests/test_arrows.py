@@ -20,8 +20,10 @@ from latmod import (
     is_wide_decomposable,
     llp_dual,
     n5,
+    product,
     rlp_dual,
 )
+from latmod.arrows import _tables
 
 from conftest import lattice_as_sets
 from oracles import (
@@ -264,3 +266,17 @@ def test_closure_idempotence_and_extensiveness(pentagon, grid21):
                 once = close(aset)
                 assert aset <= once
                 assert close(once).mask == once.mask
+
+
+def test_pullback_and_pushout_tables_are_closed_under_themselves(corpus):
+    # close_pullback and close_pushout make one pass over these rows; that
+    # is the closure only because a pullback (pushout) of a pullback
+    # (pushout) of f is again one of f, or f itself.
+    extra = [product(chain(3), chain(1)), product(chain(2), chain(2)), chain(7)]
+    for lat in (*corpus.values(), *extra):
+        t = _tables(lat)
+        for rows in (t.pull, t.push):
+            for i, row in enumerate(rows):
+                for j in range(t.m):
+                    if row >> j & 1:
+                        assert rows[j] & ~(row | 1 << i) == 0

@@ -26,6 +26,11 @@ from latmod import (
     verify_model_axioms,
     weq_components,
 )
+from latmod import bousfield
+from latmod.bousfield import LocalizationEdge, LocalizationGraph
+
+from conftest import lattice_as_sets
+from oracles import naive_golden_reports
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,44 @@ def test_golden_arrows_on_square(square, square_model):
     f = square.arrow("(1,0)", "(1,1)")
     golden = golden_arrow_set(square_model, f)
     assert golden.signature() == "{(0,1)->(1,1), (1,0)->(1,1)}"
+
+
+def as_pairs(aset):
+    return frozenset((f.source, f.target) for f in aset)
+
+
+def test_golden_arrows_match_naive_oracle(corpus):
+    for lat in corpus.values():
+        n, leq, covers, _, _ = lattice_as_sets(lat)
+        for model in enumerate_model_structures(lat):
+            for f in lat.covers:
+                if f in model.weq:
+                    continue
+                new_weq = right_localize(model, f).weq
+                want = naive_golden_reports(
+                    n, leq, covers, as_pairs(model.weq), as_pairs(new_weq)
+                )
+                got = [
+                    (tuple(r.new_weq), r.targets, r.sources, as_pairs(r.golden))
+                    for r in golden_arrows(model, f)
+                ]
+                assert got == want
+
+
+def test_right_localize_at_a_cover_runs_the_fixpoint_once(
+    monkeypatch, pentagon, pentagon_model
+):
+    calls = []
+    fixpoint = bousfield._localize_weq
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(bousfield, "_localize_weq", counted)
+    f = pentagon.arrow("C", "1")
+    right_localize(pentagon_model, f)
+    assert calls == [f]
 
 
 def test_golden_arrows_require_a_cover(pentagon, pentagon_model):
@@ -279,6 +322,60 @@ def test_reachability_from_trivial(name, corpus):
     assert graph.trivial_index in reach
     assert len(reach) == count
     assert is_weakly_connected(graph) is connected
+
+
+def naive_reach(graph, start, directed):
+    # Relax every edge until nothing new is reached.
+    seen = {start}
+    grown = True
+    while grown:
+        grown = False
+        for e in graph.edges:
+            for a, b in ((e.src, e.dst), (e.dst, e.src))[: 1 if directed else 2]:
+                if a in seen and b not in seen:
+                    seen.add(b)
+                    grown = True
+    return frozenset(seen)
+
+
+def assert_graph_walks_match_naive(graph):
+    for i in range(len(graph)):
+        assert list(graph.neighbours(i)) == [
+            e.dst for e in graph.edges if e.src == i
+        ]
+    assert reachable_from_trivial(graph) == naive_reach(
+        graph, graph.trivial_index, directed=True
+    )
+    assert is_weakly_connected(graph) == (
+        len(naive_reach(graph, 0, directed=False)) == len(graph)
+    )
+
+
+def test_graph_walks_match_naive_search(corpus):
+    for lat in corpus.values():
+        assert_graph_walks_match_naive(localization_graph(lat))
+
+
+def test_graph_walks_on_hand_made_graphs():
+    models = enumerate_model_structures(chain(2))[:5]
+    f = chain(2).covers[0]
+
+    def graph(pairs, trivial=0):
+        edges = tuple(LocalizationEdge(a, b, "left", f) for a, b in pairs)
+        return LocalizationGraph(models, edges, trivial)
+
+    # 3 and 4 are unreachable from 0; 4 has no edges at all
+    split = graph([(0, 1), (1, 2), (2, 1), (3, 1), (0, 1)])
+    assert reachable_from_trivial(split) == {0, 1, 2}
+    assert list(split.neighbours(0)) == [1, 1]
+    assert not is_weakly_connected(split)
+    assert_graph_walks_match_naive(split)
+    # linking 4 makes it weakly connected, yet only 0, 1, 2 stay reachable
+    joined = graph([(0, 1), (1, 2), (3, 1), (4, 3)])
+    assert reachable_from_trivial(joined) == {0, 1, 2}
+    assert is_weakly_connected(joined)
+    assert_graph_walks_match_naive(joined)
+    assert_graph_walks_match_naive(graph([(1, 0), (2, 4)], trivial=2))
 
 
 def test_singleton_lattice_graph():

@@ -1,5 +1,10 @@
 """End-to-end command line behaviour via main(argv)."""
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -486,3 +491,67 @@ def test_enumeration_output_is_deterministic(cli):
     first = cli("models", "enumerate", "--lattice", "builtin:n5")
     second = cli("models", "enumerate", "--lattice", "builtin:n5")
     assert first == second
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "reach", "--lattice", "builtin:n5"),
+        ("models", "enumerate", "--lattice", "builtin:n5"),
+    ],
+    ids=["print", "write"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # The read end is closed before the child has finished importing, so
+    # its first write to stdout fails with EPIPE.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latmod.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+# sha256 of the JSON exports, taken from the implementation before the
+# localization layer moved to mask operations; any change to the bytes
+# of these outputs must be deliberate.
+EXPORT_DIGESTS = {
+    ("graph", "square"): "5721f8c837f212b61e5a2596590df0bd95d4950645accfcfd62c3fb33a91014d",
+    ("graph", "grid2x1"): "a0aae34c7d6b38ae65f371a2f550fad8d95bb32defd7b65570d448e748d99915",
+    ("graph", "chain4"): "a0103d55ee85f92887453920aacab562c09090bb653fbcceffd03a4d29617be1",
+    ("models", "square"): "7a35729fdc09da2d2a7265030e8fe4480b8a3aecb4081736ec6a820528517aa2",
+    ("models", "grid2x1"): "1e29e6ae4638c31b1e83b97f4d88f6ef969165e144787ef0112822ae563626c3",
+    ("models", "chain4"): "d356380da18fea2828216941efe5cb19683e0f9526cef4db309c3c681ce1bb4d",
+}
+EXPORT_COMMANDS = {
+    "graph": ("graph", "localizations"),
+    "models": ("models", "enumerate"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,name", sorted(EXPORT_DIGESTS), ids="-".join
+)
+def test_json_exports_are_byte_identical(cli, tmp_path, kind, name):
+    target = tmp_path / "out.json"
+    code, _, _ = cli(
+        *EXPORT_COMMANDS[kind],
+        "--lattice",
+        f"builtin:{name}",
+        "--format",
+        "json",
+        "--out",
+        str(target),
+    )
+    assert code == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == EXPORT_DIGESTS[(kind, name)]

@@ -192,6 +192,34 @@ def test_derive_classes_rejects_out_of_interval(pentagon):
         derive_classes(w, empty)
 
 
+def test_derive_check_admits_exactly_the_interval(corpus):
+    # AF ranges over every arrow set where that is cheap (m <= 8), so sets
+    # between t_min and t_max that are not transfer systems are covered.
+    for lat in corpus.values():
+        catalog = transfer_catalog(lat)
+        m = len(lat.arrows)
+        candidates = (
+            [ArrowSet(lat, mask) for mask in range(1 << m)]
+            if m <= 8
+            else catalog.systems
+        )
+        weqs = enumerate_weak_equivalence_sets(lat)
+        for w in weqs:
+            inside = {t.mask for t in af_interval(w)}
+            for t in candidates:
+                if t.mask in inside:
+                    assert derive_classes(w, t).key() == (w.mask, t.mask)
+                else:
+                    with pytest.raises(NotAdmissible):
+                        derive_classes(w, t)
+        weq_masks = {w.mask for w in weqs}
+        for mask in range(min(1 << m, 256)):
+            if mask in weq_masks:
+                continue
+            with pytest.raises(NotAWeakEquivalenceSet):
+                derive_classes(ArrowSet(lat, mask), catalog[0])
+
+
 def test_axioms_hold_for_every_enumerated_model(pentagon, square):
     for lat in (pentagon, square):
         for m in enumerate_model_structures(lat):
