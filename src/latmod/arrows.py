@@ -138,7 +138,6 @@ class _Tables:
         "kill_rlp",
         "cover_mask",
         "up",
-        "down",
         "retracts",
     )
 
@@ -192,13 +191,10 @@ class _Tables:
                     self.kill_rlp[j] |= 1 << i
 
         self.cover_mask = _mask_of(pos, lat.covers)
-        # Element masks: up[x] holds the y with x < y, down[x] the y <= x.
+        # Element masks: up[x] holds the y with x < y.
         elems = range(lat.n)
         self.up = tuple(
             sum(1 << y for y in elems if lat.lt(x, y)) for x in elems
-        )
-        self.down = tuple(
-            sum(1 << y for y in elems if lat.le(y, x)) for x in elems
         )
         # retracts[k]: the arrows a -> b with a order-isomorphic to the
         # source of arrow k and b to its target (a <= x <= a, b <= y <= b).

@@ -88,12 +88,17 @@ def golden_arrows(
     and the golden arrows pair them up (incomparable pairs are dropped).
     Localizing at an existing weak equivalence yields no reports.
     """
+    return _golden_reports(model, _cover_weq(model, f))
+
+
+def _cover_weq(model: ModelStructure, f: Arrow) -> ArrowSet:
+    # The weak equivalences after right localization at the cover f.
     lat = model.lattice
     if f not in lat.covers:
         raise NotShort(f"{lat.arrow_name(f)} is not a cover")
     if f in model.weq:
-        return ()
-    return _golden_reports(model, _localize_weq(model, f, side="right"))
+        return model.weq
+    return _localize_weq(model, f, side="right")
 
 
 def _golden_reports(
@@ -112,8 +117,12 @@ def _golden_reports(
     for k in _bits(new_covers):
         sigma = arrows[k]
         targets = _maximal(t, _block(linked, sigma.target))
-        below = _union_rows(t.down, targets)
-        sources = _maximal(t, _block(linked, sigma.source) & below)
+        under = sum(
+            1 << y
+            for y in _bits(_block(linked, sigma.source))
+            if (t.up[y] | 1 << y) & targets
+        )
+        sources = _maximal(t, under)
         golden = 0
         for s in _bits(sources):
             for y in _bits(t.up[s] & targets):
@@ -139,8 +148,12 @@ def _maximal(t, elems: int) -> int:
 
 def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
     """Union of all golden arrows for right localization at f."""
+    return _golden_union(model, _cover_weq(model, f))
+
+
+def _golden_union(model: ModelStructure, new_weq: ArrowSet) -> ArrowSet:
     out = ArrowSet.empty(model.lattice)
-    for report in golden_arrows(model, f):
+    for report in _golden_reports(model, new_weq):
         out |= report.golden
     return out
 
@@ -186,9 +199,7 @@ def right_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
         return model
     if f in model.lattice.covers:
         new_weq = _localize_weq(model, f, side="right")
-        generators = model.acyclic_fib
-        for report in _golden_reports(model, new_weq):
-            generators |= report.golden
+        generators = model.acyclic_fib | _golden_union(model, new_weq)
         localized = derive_classes(new_weq, generate_transfer(generators))
     else:
         localized = model

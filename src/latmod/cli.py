@@ -15,7 +15,7 @@ from typing import Any
 
 from .arrows import ArrowSet, generate_transfer, llp_dual, rlp_dual
 from .bousfield import (
-    golden_arrows,
+    _golden_reports,
     is_weakly_connected,
     left_localize,
     localization_graph,
@@ -285,8 +285,10 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         result = right_localize(model, at)
         payload = {"model": serialize_model(result)}
         if at in lat.covers:
+            # Reports from the localized weak equivalences in hand, so the
+            # fixpoint runs once.
             payload["golden_arrows"] = serialize_golden_reports(
-                golden_arrows(model, at)
+                _golden_reports(model, result.weq)
             )
     _emit_json(payload, args.out)
     return 0

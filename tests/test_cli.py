@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from latmod import bousfield
 from latmod.cli import main
 
 
@@ -313,6 +314,32 @@ def test_localize_right_reports_golden_arrows(cli, pentagon_model_file):
     assert len(data["golden_arrows"]) == 2
     for report in data["golden_arrows"]:
         assert report["arrows"] == [["B", "1"], ["C", "1"]]
+
+
+def test_localize_right_runs_the_fixpoint_once(
+    cli, monkeypatch, pentagon_model_file
+):
+    calls = []
+    fixpoint = bousfield._localize_weq
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(bousfield, "_localize_weq", counted)
+    code, out, _ = cli(
+        "localize",
+        "--lattice",
+        "builtin:n5",
+        "--model",
+        pentagon_model_file,
+        "--side",
+        "right",
+        "--at",
+        "C,1",
+    )
+    assert code == 0 and len(json.loads(out)["golden_arrows"]) == 2
+    assert len(calls) == 1
 
 
 def test_localize_left_keeps_af(cli, pentagon_model_file):
