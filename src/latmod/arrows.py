@@ -9,11 +9,18 @@ closure, so they are not stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import FixpointError
-from .lattice import Arrow, FiniteLattice, pullbacks_of, pushouts_of
+from .lattice import (
+    Arrow,
+    FiniteLattice,
+    _bits,
+    _cached,
+    _union_rows,
+    pullbacks_of,
+    pushouts_of,
+)
 
 
 @dataclass(frozen=True)
@@ -193,9 +200,7 @@ class _Tables:
         self.cover_mask = _mask_of(pos, lat.covers)
         # Element masks: up[x] holds the y with x < y.
         elems = range(lat.n)
-        self.up = tuple(
-            sum(1 << y for y in elems if lat.lt(x, y)) for x in elems
-        )
+        self.up = tuple(row & ~(1 << x) for x, row in enumerate(lat._up))
         # retracts[k]: the arrows a -> b with a order-isomorphic to the
         # source of arrow k and b to its target (a <= x <= a, b <= y <= b).
         iso = [
@@ -216,16 +221,8 @@ def _mask_of(pos: dict[Arrow, int], arrows: Iterable[Arrow]) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
 def _tables(lat: FiniteLattice) -> _Tables:
-    return _Tables(lat)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return _cached(lat, "tables", _Tables, lat)
 
 
 def _fixpoint(t: _Tables, mask: int, step) -> int:
@@ -256,13 +253,6 @@ def close_composition(aset: ArrowSet) -> ArrowSet:
     return ArrowSet(aset.lattice, mask)
 
 
-def _union_rows(rows: tuple[int, ...], mask: int) -> int:
-    out = mask
-    for i in _bits(mask):
-        out |= rows[i]
-    return out
-
-
 def close_pullback(aset: ArrowSet) -> ArrowSet:
     """Smallest superset containing all nontrivial pullbacks of its members.
 
@@ -270,7 +260,7 @@ def close_pullback(aset: ArrowSet) -> ArrowSet:
     (meets are associative), so each pull row is closed under pull.
     """
     t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, _union_rows(t.pull, aset.mask))
+    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.pull, aset.mask))
 
 
 def close_pushout(aset: ArrowSet) -> ArrowSet:
@@ -279,7 +269,7 @@ def close_pushout(aset: ArrowSet) -> ArrowSet:
     One pass suffices, dually to close_pullback (joins are associative).
     """
     t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, _union_rows(t.push, aset.mask))
+    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.push, aset.mask))
 
 
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
@@ -325,7 +315,7 @@ def close_retracts(aset: ArrowSet) -> ArrowSet:
     from the per-arrow table of order-isomorphic endpoints.
     """
     t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, _union_rows(t.retracts, aset.mask))
+    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.retracts, aset.mask))
 
 
 def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
@@ -370,21 +360,15 @@ def is_wide_decomposable(aset: ArrowSet) -> bool:
 def is_transfer_system(aset: ArrowSet) -> bool:
     """Closed under nontrivial pullbacks and under composition."""
     t = _tables(aset.lattice)
-    mask = aset.mask
-    for i in _bits(mask):
-        if t.pull[i] & ~mask:
-            return False
-    return is_composition_closed(aset)
+    pulled = _union_rows(t.pull, aset.mask)
+    return not pulled & ~aset.mask and is_composition_closed(aset)
 
 
 def is_cotransfer_system(aset: ArrowSet) -> bool:
     """Closed under nontrivial pushouts and under composition."""
     t = _tables(aset.lattice)
-    mask = aset.mask
-    for i in _bits(mask):
-        if t.push[i] & ~mask:
-            return False
-    return is_composition_closed(aset)
+    pushed = _union_rows(t.push, aset.mask)
+    return not pushed & ~aset.mask and is_composition_closed(aset)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +393,10 @@ def generate_cotransfer(aset: ArrowSet) -> ArrowSet:
 def llp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the left lifting property against every member."""
     t = _tables(aset.lattice)
-    out = t.full
-    for j in _bits(aset.mask):
-        out &= ~t.kill_llp[j]
-    return ArrowSet(aset.lattice, out)
+    return ArrowSet(aset.lattice, t.full & ~_union_rows(t.kill_llp, aset.mask))
 
 
 def rlp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the right lifting property against every member."""
     t = _tables(aset.lattice)
-    out = t.full
-    for j in _bits(aset.mask):
-        out &= ~t.kill_rlp[j]
-    return ArrowSet(aset.lattice, out)
+    return ArrowSet(aset.lattice, t.full & ~_union_rows(t.kill_rlp, aset.mask))

@@ -26,6 +26,7 @@ from .errors import LatmodError, UnknownLabel
 from .lattice import Arrow, FiniteLattice, is_modular
 from .models import (
     af_interval,
+    derive_classes,
     enumerate_model_structures,
     enumerate_weak_equivalence_sets,
     t_max,
@@ -243,8 +244,6 @@ def _cmd_models(args: argparse.Namespace) -> int:
             )
         return 0
     if args.subcommand == "verify":
-        from .models import derive_classes
-
         weq = load_arrow_set(lat, args.weq)
         af = load_arrow_set(lat, args.af)
         try:

@@ -8,10 +8,9 @@ everything downstream of it) deterministic.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Any, NamedTuple
 
 from .errors import CycleError, DuplicateLabel, NotALattice, UnknownLabel
 
@@ -28,25 +27,25 @@ class FiniteLattice:
 
     Construct with :func:`build_lattice`, :func:`chain`, :func:`n5` or
     :func:`product`; the constructor itself trusts its arguments.
-    Instances compare by identity and are safe to use as cache keys.
+    Instances compare by identity.  Catalogs and tables computed from a
+    lattice are kept on it (see :func:`_cached`) and freed with it.
     """
 
     def __init__(
         self,
         labels: Sequence[str],
-        leq: np.ndarray,
-        meet_table: np.ndarray,
-        join_table: np.ndarray,
+        up: Sequence[int],
+        meet_table: Sequence[Sequence[int]],
+        join_table: Sequence[Sequence[int]],
     ) -> None:
         self.n = len(labels)
         self.labels: tuple[str, ...] = tuple(labels)
-        self._leq = np.asarray(leq, dtype=bool)
-        self._leq.setflags(write=False)
-        self._meet = np.asarray(meet_table, dtype=np.int16)
-        self._meet.setflags(write=False)
-        self._join = np.asarray(join_table, dtype=np.int16)
-        self._join.setflags(write=False)
+        # up[x] is an element mask: bit y is set exactly when x <= y.
+        self._up: tuple[int, ...] = tuple(up)
+        self._meet = tuple(map(tuple, meet_table))
+        self._join = tuple(map(tuple, join_table))
         self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
+        self._cache: dict[Hashable, Any] = {}
 
     # Identity-based equality: lattices are immutable and shared by reference.
     __hash__ = object.__hash__
@@ -58,20 +57,16 @@ class FiniteLattice:
 
     def le(self, x: int, y: int) -> bool:
         """True when x <= y in the lattice order."""
-        return bool(self._leq[x, y])
+        return bool(self._up[x] >> y & 1)
 
     def lt(self, x: int, y: int) -> bool:
-        return x != y and bool(self._leq[x, y])
+        return x != y and bool(self._up[x] >> y & 1)
 
     def meet(self, x: int, y: int) -> int:
-        return int(self._meet[x, y])
+        return self._meet[x][y]
 
     def join(self, x: int, y: int) -> int:
-        return int(self._join[x, y])
-
-    @property
-    def leq_matrix(self) -> np.ndarray:
-        return self._leq
+        return self._join[x][y]
 
     @property
     def bottom(self) -> int:
@@ -114,15 +109,14 @@ class FiniteLattice:
     @cached_property
     def covers(self) -> tuple[Arrow, ...]:
         """Indecomposable relations x < y, in (source, target) order."""
-        lt = self._leq & ~np.eye(self.n, dtype=bool)
-        cov = lt & ~(lt @ lt)
-        return tuple(Arrow(int(s), int(t)) for s, t in np.argwhere(cov))
+        return tuple(Arrow(s, t) for s, t in hasse_covers(range(self.n), self.le))
 
     @cached_property
     def arrows(self) -> tuple[Arrow, ...]:
         """All non-identity relations, in (source, target) order."""
-        lt = self._leq & ~np.eye(self.n, dtype=bool)
-        return tuple(Arrow(int(s), int(t)) for s, t in np.argwhere(lt))
+        return tuple(
+            Arrow(s, t) for s, up in enumerate(self._up) for t in _bits(up) if s != t
+        )
 
     @cached_property
     def arrow_position(self) -> dict[Arrow, int]:
@@ -164,15 +158,17 @@ def build_lattice(
     order = _topological_order(n, succ)
     rank = {orig: new for new, orig in enumerate(order)}
 
-    adj = np.zeros((n, n), dtype=bool)
-    for a, bs in enumerate(succ):
-        for b in bs:
-            adj[rank[a], rank[b]] = True
-    leq = _reflexive_transitive_closure(adj)
+    # Successors rank higher, so one pass from the top closes the order.
+    up = [0] * n
+    for x in reversed(range(n)):
+        row = 1 << x
+        for b in succ[order[x]]:
+            row |= up[rank[b]]
+        up[x] = row
 
     new_labels = [labels[orig] for orig in order]
-    meet, join = _meet_join_tables(leq, new_labels)
-    return FiniteLattice(new_labels, leq, meet, join)
+    meet, join = _meet_join_tables(up, new_labels)
+    return FiniteLattice(new_labels, up, meet, join)
 
 
 def _topological_order(n: int, succ: list[set[int]]) -> list[int]:
@@ -197,39 +193,31 @@ def _topological_order(n: int, succ: list[set[int]]) -> list[int]:
     return order
 
 
-def _reflexive_transitive_closure(adj: np.ndarray) -> np.ndarray:
-    reach = adj | np.eye(adj.shape[0], dtype=bool)
-    while True:
-        nxt = reach | (reach @ reach)
-        if np.array_equal(nxt, reach):
-            return reach
-        reach = nxt
-
-
 def _meet_join_tables(
-    leq: np.ndarray, labels: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    n = leq.shape[0]
-    meet = np.zeros((n, n), dtype=np.int16)
-    join = np.zeros((n, n), dtype=np.int16)
+    up: Sequence[int], labels: Sequence[str]
+) -> tuple[list[list[int]], list[list[int]]]:
+    n = len(up)
+    down = [sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
-            lows = leq[:, x] & leq[:, y]
+            lows = down[x] & down[y]
             # In a linear extension, a greatest lower bound must be the
             # highest-index common lower bound.
-            g = int(np.flatnonzero(lows)[-1]) if lows.any() else -1
-            if g < 0 or not (leq[lows, g]).all():
+            g = lows.bit_length() - 1
+            if g < 0 or lows & ~down[g]:
                 raise NotALattice(
                     f"elements {labels[x]!r} and {labels[y]!r} have no meet"
                 )
-            ups = leq[x, :] & leq[y, :]
-            l = int(np.flatnonzero(ups)[0]) if ups.any() else -1
-            if l < 0 or not (leq[l, ups]).all():
+            ups = up[x] & up[y]
+            l = (ups & -ups).bit_length() - 1
+            if l < 0 or ups & ~up[l]:
                 raise NotALattice(
                     f"elements {labels[x]!r} and {labels[y]!r} have no join"
                 )
-            meet[x, y] = meet[y, x] = g
-            join[x, y] = join[y, x] = l
+            meet[x][y] = meet[y][x] = g
+            join[x][y] = join[y][x] = l
     return meet, join
 
 
@@ -272,16 +260,44 @@ def hasse_covers(items: Sequence, le: Callable) -> list[tuple[int, int]]:
     items[i] is covered by items[j] when i != j, le(items[i], items[j])
     holds, and no third item lies strictly between them.
     """
-    k = len(items)
-    below = np.array(
-        [le(a, b) for a in items for b in items], dtype=bool
-    ).reshape(k, k)
-    strict = below & ~np.eye(k, dtype=bool)
-    # A float32 product counts the items in between exactly (k < 2**24)
-    # and runs in BLAS; numpy's boolean matmul is a much slower loop.
-    paths = strict.astype(np.float32)
-    cover = strict & ~(paths @ paths > 0)
-    return [(int(i), int(j)) for i, j in np.argwhere(cover)]
+    # above[i] is an index mask: bit j is set when items[i] < items[j].
+    above = [
+        sum(1 << j for j, b in enumerate(items) if i != j and le(a, b))
+        for i, a in enumerate(items)
+    ]
+    return [
+        (i, j)
+        for i, row in enumerate(above)
+        for j in _bits(row & ~_union_rows(above, row))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# int bit masks and per-lattice caches
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union_rows(rows: Sequence[int], mask: int) -> int:
+    """The union of rows[i] over the set bits i of mask."""
+    out = 0
+    for i in _bits(mask):
+        out |= rows[i]
+    return out
+
+
+def _cached(lat: FiniteLattice, key: Hashable, build: Callable, *args: Any) -> Any:
+    """build(*args), computed once per key and kept on lat, so freed with it."""
+    cache = lat._cache
+    if key not in cache:
+        cache[key] = build(*args)
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ it, and AF ranges over an interval of transfer systems inside W.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arrows import (
     ArrowSet,
@@ -18,19 +17,19 @@ from .arrows import (
     close_wide_decomposable,
     compose_sets,
     is_composition_closed,
+    is_cotransfer_system,
     is_transfer_system,
     is_wide_decomposable,
     llp_dual,
     rlp_dual,
     _tables,
-    _bits,
 )
 from .errors import (
     MaximalityViolation,
     NotAdmissible,
     NotAWeakEquivalenceSet,
 )
-from .lattice import FiniteLattice, enumerate_short_factorizations
+from .lattice import FiniteLattice, _cached, enumerate_short_factorizations
 from .transfers import closed_sets, cotransfer_systems, transfer_catalog
 
 
@@ -70,13 +69,16 @@ def is_weak_equivalence_set(weq: ArrowSet) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     """All weak equivalence sets, in canonical (bit vector) order.
 
     Candidates are the composition-closed, wide decomposable sets, listed
     as the fixed points of their closure; the full criterion filters them.
     """
+    return _cached(lat, "weq_sets", _weak_equivalence_sets, lat)
+
+
+def _weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     return tuple(
         weq
         for weq in closed_sets(lat, close_wide_decomposable)
@@ -105,8 +107,6 @@ def t_max(weq: ArrowSet) -> ArrowSet:
 
 def k_max(weq: ArrowSet) -> ArrowSet:
     """Largest cotransfer system inside the weak equivalences."""
-    from .arrows import is_cotransfer_system
-
     union = _union_inside(cotransfer_systems(weq.lattice), weq)
     if not is_cotransfer_system(union):
         raise MaximalityViolation(
@@ -137,9 +137,12 @@ def t_min(weq: ArrowSet) -> ArrowSet:
     return low
 
 
-@lru_cache(maxsize=None)
 def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
     """Transfer systems T with t_min <= T <= t_max, in catalog order."""
+    return _cached(weq.lattice, ("af_interval", weq.mask), _af_interval, weq)
+
+
+def _af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
     if not is_weak_equivalence_set(weq):
         raise NotAWeakEquivalenceSet(
             f"{weq.signature()} is not a weak equivalence set"
@@ -207,9 +210,12 @@ def derive_classes(
     return ModelStructure(weq.lattice, weq, acyclic_fib, cof, acyclic_cof, fib)
 
 
-@lru_cache(maxsize=None)
 def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
     """Every model structure, ordered by weak equivalences then by AF."""
+    return _cached(lat, "models", _model_structures, lat)
+
+
+def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
     out: list[ModelStructure] = []
     for weq in enumerate_weak_equivalence_sets(lat):
         for system in af_interval(weq):

@@ -54,17 +54,19 @@ def parse_lattice(data: Any) -> FiniteLattice:
         isinstance(lab, str) for lab in elements
     ):
         raise LatmodError('lattice "elements" must be a list of strings')
-    covers = data.get("covers", [])
-    if not isinstance(covers, (list, tuple)) or not all(
+    covers = _label_pairs(data.get("covers", []), 'lattice "covers"')
+    return build_lattice(elements, covers)
+
+
+def _label_pairs(value: Any, what: str) -> list[tuple[str, str]]:
+    if not isinstance(value, (list, tuple)) or not all(
         isinstance(pair, (list, tuple))
         and len(pair) == 2
         and all(isinstance(lab, str) for lab in pair)
-        for pair in covers
+        for pair in value
     ):
-        raise LatmodError(
-            'lattice "covers" must be a list of [lower, upper] label pairs'
-        )
-    return build_lattice(elements, [tuple(pair) for pair in covers])
+        raise LatmodError(f"{what} must be a list of [lower, upper] label pairs")
+    return [tuple(pair) for pair in value]
 
 
 def serialize_lattice(lat: FiniteLattice) -> dict[str, Any]:
@@ -79,7 +81,8 @@ def serialize_lattice(lat: FiniteLattice) -> dict[str, Any]:
 def parse_arrow_set(lat: FiniteLattice, data: Any) -> ArrowSet:
     if not isinstance(data, dict) or "arrows" not in data:
         raise LatmodError('arrow set JSON needs an "arrows" list')
-    return ArrowSet.from_labels(lat, [tuple(pair) for pair in data["arrows"]])
+    pairs = _label_pairs(data["arrows"], 'arrow set "arrows"')
+    return ArrowSet.from_labels(lat, pairs)
 
 
 def load_arrow_set(lat: FiniteLattice, path: str | Path) -> ArrowSet:
@@ -93,8 +96,8 @@ def serialize_arrow_set(aset: ArrowSet) -> dict[str, Any]:
 def parse_model(lat: FiniteLattice, data: Any) -> ModelStructure:
     if not isinstance(data, dict) or "weq" not in data or "af" not in data:
         raise LatmodError('model JSON needs "weq" and "af" arrow lists')
-    weq = ArrowSet.from_labels(lat, [tuple(p) for p in data["weq"]])
-    af = ArrowSet.from_labels(lat, [tuple(p) for p in data["af"]])
+    weq = ArrowSet.from_labels(lat, _label_pairs(data["weq"], 'model "weq"'))
+    af = ArrowSet.from_labels(lat, _label_pairs(data["af"], 'model "af"'))
     return derive_classes(weq, af)
 
 

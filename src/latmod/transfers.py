@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .arrows import (
@@ -14,7 +14,7 @@ from .arrows import (
     is_transfer_system,
 )
 from .errors import NotALattice, NotATransferSystem
-from .lattice import Arrow, FiniteLattice, build_lattice, hasse_covers
+from .lattice import Arrow, FiniteLattice, _cached, build_lattice, hasse_covers
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,13 @@ def enumerate_cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     return closed_sets(lat, generate_cotransfer)
 
 
-@lru_cache(maxsize=None)
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
-    """Cached catalog for repeated structural queries."""
-    return enumerate_transfer_systems(lat)
+    """Catalog kept on the lattice for repeated structural queries."""
+    return _cached(lat, "transfers", enumerate_transfer_systems, lat)
 
 
-@lru_cache(maxsize=None)
 def cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
-    return enumerate_cotransfer_systems(lat)
+    return _cached(lat, "cotransfers", enumerate_cotransfer_systems, lat)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from latmod import build_lattice
+
 Pair = tuple[int, int]
 
 
@@ -296,3 +298,9 @@ def naive_golden_reports(
         )
         reports.append((cover, tuple(targets), tuple(sources), golden))
     return reports
+
+
+def opposite(lat):
+    """The opposite lattice: the same labels with every cover reversed."""
+    labels = lat.labels
+    return build_lattice(labels, [(labels[t], labels[s]) for s, t in lat.covers])

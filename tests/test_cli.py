@@ -82,6 +82,30 @@ def test_malformed_lattice_json_is_invalid_input(cli, tmp_path, data):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,data",
+    [
+        (("transfers", "generate", "--arrows"), {"arrows": "ab"}),
+        (("transfers", "generate", "--arrows"), {"arrows": [["0", "A", "C"]]}),
+        (("transfers", "generate", "--arrows"), {"arrows": 5}),
+        (("localize", "--side", "left", "--at", "0,A", "--model"), {"weq": 5, "af": []}),
+        (
+            ("localize", "--side", "left", "--at", "0,A", "--model"),
+            {"weq": [["0"]], "af": []},
+        ),
+    ],
+    ids=["string-arrows", "triple", "integer-arrows", "integer-weq", "one-label-weq"],
+)
+def test_malformed_arrow_set_and_model_json_are_invalid_input(
+    cli, tmp_path, argv, data
+):
+    path = write_json(tmp_path / "bad.json", data)
+    code, out, err = cli(*argv, path, "--lattice", "builtin:n5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_builtin_is_invalid_input(cli):
     code, _, err = cli("lattice", "check", "--lattice", "builtin:bogus")
     assert code == 3
@@ -548,37 +572,62 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert err == b""
 
 
-# sha256 of the JSON exports, taken from the implementation before the
-# localization layer moved to mask operations; any change to the bytes
-# of these outputs must be deliberate.
+# sha256 of the exports by format.  The JSON digests were taken from the
+# implementation before the localization layer moved to mask operations,
+# the DOT digests from the implementation before the lattice core moved
+# from numpy to int masks; any change to the bytes of these outputs must
+# be deliberate.
 EXPORT_DIGESTS = {
-    ("graph", "square"): "5721f8c837f212b61e5a2596590df0bd95d4950645accfcfd62c3fb33a91014d",
-    ("graph", "grid2x1"): "a0aae34c7d6b38ae65f371a2f550fad8d95bb32defd7b65570d448e748d99915",
-    ("graph", "chain4"): "a0103d55ee85f92887453920aacab562c09090bb653fbcceffd03a4d29617be1",
-    ("models", "square"): "7a35729fdc09da2d2a7265030e8fe4480b8a3aecb4081736ec6a820528517aa2",
-    ("models", "grid2x1"): "1e29e6ae4638c31b1e83b97f4d88f6ef969165e144787ef0112822ae563626c3",
-    ("models", "chain4"): "d356380da18fea2828216941efe5cb19683e0f9526cef4db309c3c681ce1bb4d",
+    "json": {
+        ("graph", "square"): "5721f8c837f212b61e5a2596590df0bd95d4950645accfcfd62c3fb33a91014d",
+        ("graph", "grid2x1"): "a0aae34c7d6b38ae65f371a2f550fad8d95bb32defd7b65570d448e748d99915",
+        ("graph", "chain4"): "a0103d55ee85f92887453920aacab562c09090bb653fbcceffd03a4d29617be1",
+        ("models", "square"): "7a35729fdc09da2d2a7265030e8fe4480b8a3aecb4081736ec6a820528517aa2",
+        ("models", "grid2x1"): "1e29e6ae4638c31b1e83b97f4d88f6ef969165e144787ef0112822ae563626c3",
+        ("models", "chain4"): "d356380da18fea2828216941efe5cb19683e0f9526cef4db309c3c681ce1bb4d",
+    },
+    "dot": {
+        ("transfers", "square"): "e69aa80d44307fe04da428aebc9f4d3b0e9356474d505854563fc0776a1c07a7",
+        ("transfers", "grid2x1"): "ee3c2d89ee1b0001fb9d61e829192dc353e5727eab96c2b47506c636a01a5beb",
+        ("transfers", "chain4"): "ee594d2a196c2564be8805c4bacdcb8b6318f73d6eb5f49aef7009986166c1fa",
+        ("models", "square"): "34d33789630406beac04517f0a270eb0fde5fdf483d7d39e087fe4ed256ef3fd",
+        ("models", "grid2x1"): "2c2986445e6965523a8fed4339d038e60e1390cfaa4ca90ba9ff958af72dc338",
+        ("models", "chain4"): "1b968108a412f071c7e5821997ec7ef9d76d8d011728d3d708e204d4e2b66f98",
+        ("graph", "square"): "4a37aaef964c66ac1322e287b81880b58f0ae5eb177817732b7ab1f60f0b9565",
+        ("graph", "grid2x1"): "502cff81278e3566cebe5d2686b55db9b7003963ddbfcb076dbf49018760997f",
+        ("graph", "chain4"): "ec697aceefa64bf5d53a170e4d64f3d28c6b18a5a52bd0b1cb48bc28b546db67",
+    },
 }
 EXPORT_COMMANDS = {
+    "transfers": ("transfers", "enumerate"),
     "graph": ("graph", "localizations"),
     "models": ("models", "enumerate"),
 }
-
-
-@pytest.mark.parametrize(
-    "kind,name", sorted(EXPORT_DIGESTS), ids="-".join
+EXPORT_CASES = sorted(
+    (fmt, kind, name) for fmt, table in EXPORT_DIGESTS.items() for kind, name in table
 )
-def test_json_exports_are_byte_identical(cli, tmp_path, kind, name):
-    target = tmp_path / "out.json"
+
+
+def _export_id(case):
+    fmt, kind, name = case
+    # The JSON cases keep the ids they were first collected under, which
+    # spell out every character.
+    return "-".join(kind + name) if fmt == "json" else f"{fmt}-{kind}-{name}"
+
+
+@pytest.mark.parametrize("case", EXPORT_CASES, ids=_export_id)
+def test_json_exports_are_byte_identical(cli, tmp_path, case):
+    fmt, kind, name = case
+    target = tmp_path / f"out.{fmt}"
     code, _, _ = cli(
         *EXPORT_COMMANDS[kind],
         "--lattice",
         f"builtin:{name}",
         "--format",
-        "json",
+        fmt,
         "--out",
         str(target),
     )
     assert code == 0
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
-    assert digest == EXPORT_DIGESTS[(kind, name)]
+    assert digest == EXPORT_DIGESTS[fmt][(kind, name)]

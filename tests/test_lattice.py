@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from latmod import (
@@ -6,11 +9,15 @@ from latmod import (
     DuplicateLabel,
     NotALattice,
     UnknownLabel,
+    af_interval,
     build_lattice,
     chain,
+    cotransfer_systems,
     enumerate_short_factorizations,
+    enumerate_weak_equivalence_sets,
     find_sublattice_embedding,
     is_modular,
+    localization_graph,
     n5,
     product,
     pullbacks_of,
@@ -192,3 +199,15 @@ def test_embedding_respects_meets_and_joins(pentagon):
     emb = find_sublattice_embedding(pentagon, chain(1))
     assert emb is not None
     assert find_sublattice_embedding(chain(5), diamond) is None
+
+
+def test_computed_tables_are_freed_with_the_lattice():
+    lat = product(chain(2), chain(1))
+    graph = localization_graph(lat)
+    weq = enumerate_weak_equivalence_sets(lat)[-1]
+    interval = af_interval(weq)
+    cotransfers = cotransfer_systems(lat)
+    ref = weakref.ref(lat)
+    del lat, graph, weq, interval, cotransfers
+    gc.collect()
+    assert ref() is None

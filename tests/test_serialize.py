@@ -67,7 +67,7 @@ def test_model_roundtrip(square):
 
 def test_model_json_is_plain_data(square):
     model = enumerate_model_structures(square)[0]
-    json.dumps(serialize_model(model))  # nothing numpy-typed may leak out
+    json.dumps(serialize_model(model))
 
 
 def test_golden_report_serialization(pentagon):

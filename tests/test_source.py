@@ -1,5 +1,8 @@
 """Checks on the library source itself."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import latmod
@@ -17,3 +20,28 @@ def test_library_has_no_assert_statements():
     ]
     assert SOURCES
     assert found == []
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = Path(latmod.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_runs_without_numpy():
+    # A None entry in sys.modules makes every `import numpy` fail.
+    blocked = _run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from latmod.cli import main\n"
+        "sys.exit(main(['reproduce', '--paper-checks']))\n"
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    imported = _run_python("import sys, latmod.cli; print('numpy' in sys.modules)")
+    assert (imported.returncode, imported.stdout) == (0, "False\n")
