@@ -15,7 +15,6 @@ from .errors import FixpointError
 from .lattice import (
     Arrow,
     FiniteLattice,
-    _bits,
     _cached,
     _union_rows,
     pullbacks_of,
@@ -140,7 +139,6 @@ class _Tables:
         "push",
         "triples",
         "triangles",
-        "by_composite",
         "kill_llp",
         "kill_rlp",
         "cover_mask",
@@ -178,13 +176,6 @@ class _Tables:
         # The same triples as single-bit masks, and as three-bit masks.
         self.triples = tuple((1 << i, 1 << j, 1 << k) for i, j, k in triples)
         self.triangles = tuple(a | b | c for a, b, c in self.triples)
-
-        by_comp: dict[int, list[tuple[int, int]]] = {}
-        for i, j, k in triples:
-            by_comp.setdefault(k, []).append((i, j))
-        self.by_composite = tuple(
-            tuple(by_comp.get(k, ())) for k in range(self.m)
-        )
 
         self.kill_llp = [0] * self.m
         self.kill_rlp = [0] * self.m
@@ -350,10 +341,9 @@ def is_wide_decomposable(aset: ArrowSet) -> bool:
     """True when every member's two-step factorizations stay inside the set."""
     t = _tables(aset.lattice)
     mask = aset.mask
-    for k in _bits(mask):
-        for i, j in t.by_composite[k]:
-            if not (mask >> i & 1 and mask >> j & 1):
-                return False
+    for first, second, composite in t.triples:
+        if mask & composite and not (mask & first and mask & second):
+            return False
     return True
 
 

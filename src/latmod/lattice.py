@@ -257,12 +257,14 @@ def product(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:
 def hasse_covers(items: Sequence, le: Callable) -> list[tuple[int, int]]:
     """Cover pairs (i, j) of the partial order `le` on items, row-major.
 
-    items[i] is covered by items[j] when i != j, le(items[i], items[j])
-    holds, and no third item lies strictly between them.
+    items[i] is covered by items[j] when le(items[i], items[j]) holds and
+    no third item lies strictly between them.  The items must be distinct
+    and listed in a linear extension of `le`, so only pairs i < j are
+    compared.
     """
     # above[i] is an index mask: bit j is set when items[i] < items[j].
     above = [
-        sum(1 << j for j, b in enumerate(items) if i != j and le(a, b))
+        sum(1 << j for j in range(i + 1, len(items)) if le(a, items[j]))
         for i, a in enumerate(items)
     ]
     return [

@@ -29,7 +29,7 @@ from .errors import (
     NotAdmissible,
     NotAWeakEquivalenceSet,
 )
-from .lattice import FiniteLattice, _cached, enumerate_short_factorizations
+from .lattice import FiniteLattice, _cached
 from .transfers import closed_sets, cotransfer_systems, transfer_catalog
 
 
@@ -52,21 +52,21 @@ def is_weak_equivalence_set(weq: ArrowSet) -> bool:
     lat = weq.lattice
     t = _tables(lat)
     pos = lat.arrow_position
-    for f in weq:
-        ok = False
-        for chain in enumerate_short_factorizations(lat, f):
-            push_ok = [t.push[pos[c]] & ~weq.mask == 0 for c in chain]
-            pull_ok = [t.pull[pos[c]] & ~weq.mask == 0 for c in chain]
-            n = len(chain)
-            for pivot in range(n + 1):
-                if all(push_ok[:pivot]) and all(pull_ok[pivot:]):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
+    outside = ~weq.mask
+    # Element masks: reach[x] holds the y reached from x along covers whose
+    # pushouts stay in weq, coreach[y] the x reaching y along covers whose
+    # pullbacks do; a member s -> t has a pivot in reach[s] & coreach[t].
+    # Covers are listed by source in a linear extension, so one pass each
+    # way sees every row complete before it is read.
+    reach = [1 << x for x in range(lat.n)]
+    coreach = list(reach)
+    for c in reversed(lat.covers):
+        if not t.push[pos[c]] & outside:
+            reach[c.source] |= reach[c.target]
+    for c in lat.covers:
+        if not t.pull[pos[c]] & outside:
+            coreach[c.target] |= coreach[c.source]
+    return all(reach[f.source] & coreach[f.target] for f in weq)
 
 
 def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:

@@ -175,8 +175,8 @@ def models_dot(structures: Sequence[ModelStructure]) -> str:
     for i, m in enumerate(structures):
         lines.append(f"  n{i} [label={_quote(m.signature())}];")
     for i, j in hasse_covers(
-        structures,
-        lambda a, b: a.weq <= b.weq and a.acyclic_fib <= b.acyclic_fib,
+        [m.key() for m in structures],
+        lambda a, b: not (a[0] & ~b[0] or a[1] & ~b[1]),
     ):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

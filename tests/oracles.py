@@ -245,6 +245,53 @@ def generated_transfer_by_intersection(
     return frozenset(out)
 
 
+def naive_is_weak_equivalence_set(
+    n: int, leq: set[Pair], covers: set[Pair], meets, joins, weq: frozenset[Pair]
+) -> bool:
+    """The weak equivalence criterion, walking every maximal chain.
+
+    weq must be composition closed and decomposable (both legs of every
+    factorization of a member are members), and every member must have a
+    maximal chain of covers with a pivot: the pushouts of the covers
+    before it and the pullbacks of the covers after it are all members.
+    """
+    if compose_close(leq, weq) != weq:
+        return False
+    for x, z in weq:
+        for y in range(n):
+            if y not in (x, z) and (x, y) in leq and (y, z) in leq:
+                if (x, y) not in weq or (y, z) not in weq:
+                    return False
+
+    def pushouts(c: Pair) -> set[Pair]:
+        s, t = c
+        out = {(z, joins[z][t]) for z in range(n) if (s, z) in leq}
+        return {(a, b) for a, b in out if a != b} - {c}
+
+    def pullbacks(c: Pair) -> set[Pair]:
+        s, t = c
+        out = {(meets[s][z], z) for z in range(n) if (z, t) in leq}
+        return {(a, b) for a, b in out if a != b} - {c}
+
+    def chains(s: int, t: int):
+        if s == t:
+            yield ()
+            return
+        for c in sorted(covers):
+            if c[0] == s and (c[1], t) in leq:
+                for rest in chains(c[1], t):
+                    yield (c, *rest)
+
+    def has_pivot(chain) -> bool:
+        return any(
+            all(pushouts(c) <= weq for c in chain[:p])
+            and all(pullbacks(c) <= weq for c in chain[p:])
+            for p in range(len(chain) + 1)
+        )
+
+    return all(any(has_pivot(ch) for ch in chains(s, t)) for s, t in weq)
+
+
 # ---------------------------------------------------------------------------
 # localization oracles
 

@@ -11,12 +11,14 @@ from latmod import (
     enumerate_model_structures,
     enumerate_short_factorizations,
     enumerate_weak_equivalence_sets,
+    generate_transfer,
     golden_arrow_set,
     golden_arrows,
     is_weakly_connected,
     left_localize,
     llp_dual,
     localization_graph,
+    product,
     pullbacks_of,
     pushouts_of,
     reachable_from_trivial,
@@ -103,9 +105,11 @@ def test_golden_arrows_match_naive_oracle(corpus):
                 assert got == want
 
 
+@pytest.mark.parametrize("source, target", [("C", "1"), ("0", "1")])
 def test_right_localize_at_a_cover_runs_the_fixpoint_once(
-    monkeypatch, pentagon, pentagon_model
+    monkeypatch, pentagon, pentagon_model, source, target
 ):
+    # 0 -> 1 is a long arrow: it localizes directly, not cover by cover.
     calls = []
     fixpoint = bousfield._localize_weq
 
@@ -114,9 +118,24 @@ def test_right_localize_at_a_cover_runs_the_fixpoint_once(
         return fixpoint(*args, **kwargs)
 
     monkeypatch.setattr(bousfield, "_localize_weq", counted)
-    f = pentagon.arrow("C", "1")
+    f = pentagon.arrow(source, target)
     right_localize(pentagon_model, f)
     assert calls == [f]
+
+
+def test_golden_arrows_generate_the_right_localized_acyclic_fibrations(corpus):
+    # AF' = W' & F, and the old AF with the golden arrows generates it.
+    cube = product(product(chain(1), chain(1)), chain(1))
+    for lat in (*corpus.values(), cube):
+        for model in enumerate_model_structures(lat):
+            for f in lat.covers:
+                if f in model.weq:
+                    continue
+                golden = golden_arrow_set(model, f)
+                assert (
+                    generate_transfer(model.acyclic_fib | golden)
+                    == right_localize(model, f).acyclic_fib
+                )
 
 
 def test_golden_arrows_require_a_cover(pentagon, pentagon_model):
@@ -158,9 +177,9 @@ def test_right_localize_square(square, square_model):
     assert new.acyclic_fib == ArrowSet.full(square)
 
 
-def test_localizing_a_decomposable_arrow_composes(pentagon, square):
+def test_localizing_a_decomposable_arrow_composes(pentagon, square, grid21):
     # stepping through any short factorization lands on the direct result
-    for lat in (pentagon, square):
+    for lat in (pentagon, square, grid21, chain(4)):
         decomposable = [f for f in lat.arrows if f not in lat.covers]
         for model in enumerate_model_structures(lat):
             for f in decomposable:

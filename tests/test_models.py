@@ -9,6 +9,8 @@ from latmod import (
     af_interval,
     chain,
     close_two_out_of_three,
+    close_wide_decomposable,
+    closed_sets,
     derive_classes,
     enumerate_model_structures,
     enumerate_weak_equivalence_sets,
@@ -24,6 +26,23 @@ from latmod import (
     verify_model_axioms,
 )
 from latmod.arrows import lex_key
+
+from conftest import lattice_as_sets
+from oracles import naive_is_weak_equivalence_set
+
+
+def agrees_with_chain_walk(lat, candidates):
+    """Assert the criterion matches the naive oracle; count rejections."""
+    n, leq, covers, meets, joins = lattice_as_sets(lat)
+    rejected = 0
+    for aset in candidates:
+        pairs = frozenset((f.source, f.target) for f in aset)
+        got = is_weak_equivalence_set(aset)
+        assert got == naive_is_weak_equivalence_set(
+            n, leq, covers, meets, joins, pairs
+        ), aset.signature()
+        rejected += not got
+    return rejected
 
 
 def test_n5_has_22_weak_equivalence_sets(pentagon):
@@ -53,6 +72,27 @@ def test_weq_counts_beyond_the_old_arrow_cutoff():
         (chain(7), 128),
     ):
         assert len(enumerate_weak_equivalence_sets(lat)) == count
+
+
+def test_criterion_matches_the_chain_walk_on_every_subset(corpus):
+    for lat in corpus.values():
+        every = [ArrowSet(lat, mask) for mask in range(1 << len(lat.arrows))]
+        agrees_with_chain_walk(lat, every)
+
+
+@pytest.mark.parametrize(
+    "build, rejected",
+    [
+        (lambda: product(product(chain(1), chain(1)), chain(1)), 159),
+        (lambda: product(chain(3), chain(1)), 56),
+        (lambda: product(chain(2), chain(2)), 224),
+    ],
+    ids=["cube", "grid3x1", "grid2x2"],
+)
+def test_criterion_matches_the_chain_walk_on_candidates(build, rejected):
+    lat = build()
+    candidates = closed_sets(lat, close_wide_decomposable)
+    assert agrees_with_chain_walk(lat, candidates) == rejected
 
 
 def test_chain6_models_are_binomial_and_pass_the_axioms():
