@@ -236,12 +236,14 @@ def close_composition(aset: ArrowSet) -> ArrowSet:
 
     A single pass, thanks to the order of the triples (see _Tables).
     """
-    t = _tables(aset.lattice)
-    mask = aset.mask
+    return ArrowSet(aset.lattice, _compose_closed(_tables(aset.lattice), aset.mask))
+
+
+def _compose_closed(t: _Tables, mask: int) -> int:
     for first, second, composite in t.triples:
         if mask & first and mask & second:
             mask |= composite
-    return ArrowSet(aset.lattice, mask)
+    return mask
 
 
 def close_pullback(aset: ArrowSet) -> ArrowSet:
@@ -265,17 +267,21 @@ def close_pushout(aset: ArrowSet) -> ArrowSet:
 
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     """Close under composition and both cancellation rules, to a fixpoint."""
-    t = _tables(aset.lattice)
+    return ArrowSet(aset.lattice, _two_of_three(_tables(aset.lattice), aset.mask))
+
+
+def _two_of_three(t: _Tables, mask: int) -> int:
+    triangles = t.triangles
 
     def step(mask: int) -> int:
-        for triangle in t.triangles:
+        for triangle in triangles:
             has = mask & triangle
             # exactly two of the three arrows: not all, and not at most one
             if has != triangle and has & (has - 1):
                 mask |= triangle
         return mask
 
-    return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
+    return _fixpoint(t, mask, step)
 
 
 def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
@@ -315,13 +321,18 @@ def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
     The identity padding means the result contains both inputs; no
     closure is applied beyond the single composition.
     """
-    low, high = lower.mask, upper.mask
-    mask = high | upper._compatible(lower)
-    t = _tables(upper.lattice)
+    low = upper._compatible(lower)
+    return ArrowSet(
+        upper.lattice, _composites(_tables(upper.lattice), upper.mask, low)
+    )
+
+
+def _composites(t: _Tables, high: int, low: int) -> int:
+    mask = high | low
     for first, second, composite in t.triples:
         if low & first and high & second:
             mask |= composite
-    return ArrowSet(upper.lattice, mask)
+    return mask
 
 
 # ---------------------------------------------------------------------------

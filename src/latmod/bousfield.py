@@ -5,7 +5,9 @@ construction.  Right localization keeps the fibrations F, so its acyclic
 fibrations are W' & F; left localization keeps the cofibrations (and so
 the acyclic fibrations) untouched.  Golden arrows report the acyclic
 fibrations a right localization at a cover adds; the tests check that,
-with the old ones, they generate W' & F.
+with the old ones, they generate W' & F.  The localization graph runs
+only the weak equivalence fixpoint per edge and reads the target structure
+from the enumeration by its (W', AF') key.
 """
 from __future__ import annotations
 
@@ -16,12 +18,12 @@ from typing import Iterator
 
 from .arrows import (
     ArrowSet,
+    _compose_closed,
+    _composites,
+    _Tables,
     _tables,
+    _two_of_three,
     _union_rows,
-    close_two_out_of_three,
-    compose_sets,
-    generate_cotransfer,
-    generate_transfer,
 )
 from .errors import AmbiguousMinimum, FixpointError, NotShort
 from .lattice import Arrow, FiniteLattice, _bits
@@ -155,31 +157,64 @@ def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
 
 
 def _localize_weq(model: ModelStructure, f: Arrow, side: str) -> ArrowSet:
-    """Fixpoint computation of the localized weak equivalences.
-
-    Alternates between generating the moving class from the newly added
-    weak equivalences and reclosing the composite class under
-    two-out-of-three, until the weak equivalences stop growing.
-    """
+    """The localized weak equivalences of model at f, on the given side."""
     lat = model.lattice
-    moving = model.acyclic_fib if side == "right" else model.acyclic_cof
-    fresh = ArrowSet.of(lat, [f])
-    weq = model.weq
-    for _ in range(len(lat.arrows) + 1):
+    return ArrowSet(lat, _weq_fixpoint(_tables(lat), model, f, side))
+
+
+def _weq_fixpoint(t: _Tables, model: ModelStructure, f: Arrow, side: str) -> int:
+    """Fixpoint computation of the localized weak equivalences, as a mask.
+
+    Alternates between generating the moving class (AF on the right, AC
+    on the left) from the newly added weak equivalences and reclosing the
+    composite class under two-out-of-three, until the weak equivalences
+    stop growing.  The moving class stays a (co)transfer system, whose
+    pullbacks (pushouts) are members already, so after the first round
+    only the fresh arrows' rows are added before the composition pass.
+    """
+    if side == "right":
+        rows, moving = t.pull, model.acyclic_fib.mask
+    else:
+        rows, moving = t.push, model.acyclic_cof.mask
+    af, ac = model.acyclic_fib.mask, model.acyclic_cof.mask
+    weq = model.weq.mask
+    # The first round generates from the whole class and f.
+    fresh = moving | 1 << model.lattice.arrow_position[f]
+    for _ in range(t.m + 1):
+        moving = _compose_closed(t, moving | fresh | _union_rows(rows, fresh))
         if side == "right":
-            moving = generate_transfer(moving | fresh)
-            grown = compose_sets(moving, model.acyclic_cof)
+            grown = _composites(t, moving, ac)
         else:
-            moving = generate_cotransfer(moving | fresh)
-            grown = compose_sets(model.acyclic_fib, moving)
-        grown = close_two_out_of_three(grown)
-        if grown.mask == weq.mask:
+            grown = _composites(t, af, moving)
+        grown = _two_of_three(t, grown)
+        if grown == weq:
             return weq
-        if weq.mask & ~grown.mask:
-            raise FixpointError("localized weak equivalences shrank")
-        fresh = grown - weq
+        if weq & ~grown:
+            raise FixpointError(
+                _where(model, f, side) + "localized weak equivalences shrank"
+            )
+        fresh = grown & ~weq
         weq = grown
-    raise FixpointError("weak equivalence fixpoint did not stabilize")
+    raise FixpointError(
+        _where(model, f, side) + "weak equivalence fixpoint did not stabilize"
+    )
+
+
+def _where(model: ModelStructure, f: Arrow, side: str) -> str:
+    name = model.lattice.arrow_name(f)
+    return f"{side} localization of W={model.weq.signature()} at {name}: "
+
+
+def _check_kept(
+    model: ModelStructure, localized: ModelStructure, f: Arrow, side: str
+) -> None:
+    # Right localization keeps the fibrations, left the cofibrations.
+    if side == "right":
+        kept, name = localized.fib.mask == model.fib.mask, "fibrations"
+    else:
+        kept, name = localized.cof.mask == model.cof.mask, "cofibrations"
+    if not kept:
+        raise FixpointError(_where(model, f, side) + f"failed to preserve {name}")
 
 
 def right_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
@@ -193,8 +228,7 @@ def right_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
         return model
     new_weq = _localize_weq(model, f, side="right")
     localized = derive_classes(new_weq, new_weq & model.fib)
-    if localized.fib.mask != model.fib.mask:
-        raise FixpointError("right localization failed to preserve fibrations")
+    _check_kept(model, localized, f, "right")
     return localized
 
 
@@ -205,8 +239,7 @@ def left_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
         return model
     new_weq = _localize_weq(model, f, side="left")
     localized = derive_classes(new_weq, model.acyclic_fib)
-    if localized.cof.mask != model.cof.mask:
-        raise FixpointError("left localization failed to preserve cofibrations")
+    _check_kept(model, localized, f, "left")
     return localized
 
 
@@ -258,24 +291,41 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
 
     Edges localize at covers outside the weak equivalences only; a cover
     already weakly equivalent gives the identity localization, so no self
-    loops appear.
+    loops appear.  Each edge runs the weak equivalence fixpoint and reads
+    its target from the enumeration by the key (W', AF'): AF' = W' & F on
+    the right, the old AF on the left.  The enumeration holds exactly the
+    pairs derive_classes admits, so a key it lacks goes to the public
+    localization, which raises the error that derivation gives.
     """
     structures = enumerate_model_structures(lat)
     position = {m.key(): i for i, m in enumerate(structures)}
     trivial = position[(0, 0)]
+    t = _tables(lat)
     arrow_pos = lat.arrow_position
-    edges: list[LocalizationEdge] = []
+    covers = [(f, arrow_pos[f]) for f in lat.covers]
+    found: list[tuple[int, str, int, int]] = []
     for i, model in enumerate(structures):
-        for f in lat.covers:
-            if f in model.weq:
+        weq = model.weq.mask
+        for f, k in covers:
+            if weq >> k & 1:
                 continue
             for side, op in (("left", left_localize), ("right", right_localize)):
-                target = op(model, f)
-                edges.append(
-                    LocalizationEdge(i, position[target.key()], side, f)
-                )
-    edges.sort(key=lambda e: (e.src, e.side, arrow_pos[e.at], e.dst))
-    return LocalizationGraph(structures, tuple(edges), trivial)
+                new_weq = _weq_fixpoint(t, model, f, side)
+                if side == "right":
+                    key = (new_weq, new_weq & model.fib.mask)
+                else:
+                    key = (new_weq, model.acyclic_fib.mask)
+                j = position.get(key)
+                if j is None:
+                    j = position[op(model, f).key()]
+                _check_kept(model, structures[j], f, side)
+                found.append((i, side, k, j))
+    found.sort()
+    arrows = lat.arrows
+    edges = tuple(
+        LocalizationEdge(i, j, side, arrows[k]) for i, side, k, j in found
+    )
+    return LocalizationGraph(structures, edges, trivial)
 
 
 def _search(adjacency, start: int) -> frozenset[int]:

@@ -160,19 +160,21 @@ def pushout_close(
 def two_out_of_three_close(
     n: int, leq: set[Pair], arrows: frozenset[Pair]
 ) -> frozenset[Pair]:
+    above = [[y for y in range(n) if y != x and (x, y) in leq] for x in range(n)]
+    # every x < y < z, as its three arrows
+    triples = [
+        ((x, y), (y, z), (x, z))
+        for x in range(n)
+        for y in above[x]
+        for z in above[y]
+    ]
+
     def step(current):
         out = set()
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if x == y or y == z or x == z:
-                        continue
-                    if (x, y) not in leq or (y, z) not in leq:
-                        continue
-                    triple = [(x, y), (y, z), (x, z)]
-                    present = [p for p in triple if p in current]
-                    if len(present) == 2:
-                        out.update(triple)
+        for triple in triples:
+            present = [p for p in triple if p in current]
+            if len(present) == 2:
+                out.update(triple)
         return out
 
     return close_under(step, arrows)
@@ -345,6 +347,56 @@ def naive_golden_reports(
         )
         reports.append((cover, tuple(targets), tuple(sources), golden))
     return reports
+
+
+def naive_composites(
+    upper: frozenset[Pair], lower: frozenset[Pair]
+) -> frozenset[Pair]:
+    """Both sets and every composite g o f with f in lower, g in upper."""
+    return upper | lower | {
+        (x, w) for x, y in lower for z, w in upper if y == z
+    }
+
+
+def naive_localize_weq(
+    n: int,
+    leq: set[Pair],
+    meets,
+    joins,
+    classes: tuple[frozenset[Pair], frozenset[Pair], frozenset[Pair]],
+    f: Pair,
+    side: str,
+) -> frozenset[Pair]:
+    """Localized weak equivalences, every class regenerated each round.
+
+    classes is (W, AF, AC).  Each round generates the moving class (AF on
+    the right, AC on the left) from scratch out of its old members and the
+    new weak equivalences, composes it with the other acyclic class, and
+    closes the result under two-out-of-three; it stops when W is unchanged.
+    """
+    weq, af, ac = classes
+
+    def generate(arrows):
+        # the smallest (co)transfer system containing the arrows
+        if side == "right":
+            return pullback_close(n, leq, meets, arrows) | compose_close(leq, arrows)
+        return pushout_close(n, leq, joins, arrows) | compose_close(leq, arrows)
+
+    moving = af if side == "right" else ac
+    fresh = frozenset({f})
+    # Each productive round adds an arrow, so this many rounds suffice.
+    for _ in range(len(leq) + 1):
+        moving = close_under(generate, moving | fresh)
+        if side == "right":
+            grown = naive_composites(moving, ac)
+        else:
+            grown = naive_composites(af, moving)
+        grown = two_out_of_three_close(n, leq, grown)
+        if grown == weq:
+            return weq
+        fresh = grown - weq
+        weq = grown
+    raise RuntimeError("naive localization did not stabilize")
 
 
 def opposite(lat):

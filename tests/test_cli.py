@@ -582,6 +582,8 @@ EXPORT_DIGESTS = {
         ("graph", "square"): "5721f8c837f212b61e5a2596590df0bd95d4950645accfcfd62c3fb33a91014d",
         ("graph", "grid2x1"): "a0aae34c7d6b38ae65f371a2f550fad8d95bb32defd7b65570d448e748d99915",
         ("graph", "chain4"): "a0103d55ee85f92887453920aacab562c09090bb653fbcceffd03a4d29617be1",
+        ("graph", "n5"): "7e8906453c0cde78a52456895b9c5f719b7fef1741dea5ea59b0a3f58d42af9a",
+        ("graph", "grid3x1"): "0ecc4760b4970920c8e9f2613551a86372317759a38383af64a89e2290877ef7",
         ("models", "square"): "7a35729fdc09da2d2a7265030e8fe4480b8a3aecb4081736ec6a820528517aa2",
         ("models", "grid2x1"): "1e29e6ae4638c31b1e83b97f4d88f6ef969165e144787ef0112822ae563626c3",
         ("models", "chain4"): "d356380da18fea2828216941efe5cb19683e0f9526cef4db309c3c681ce1bb4d",
