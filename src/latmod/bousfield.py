@@ -205,6 +205,14 @@ def _where(model: ModelStructure, f: Arrow, side: str) -> str:
     return f"{side} localization of W={model.weq.signature()} at {name}: "
 
 
+def _kept_af(model: ModelStructure, weq: int, side: str) -> int:
+    # AF' for the localized weak equivalences weq: right localization
+    # keeps F, so AF' = W' & F; left keeps the cofibrations and so AF.
+    if side == "right":
+        return weq & model.fib.mask
+    return model.acyclic_fib.mask
+
+
 def _check_kept(
     model: ModelStructure, localized: ModelStructure, f: Arrow, side: str
 ) -> None:
@@ -217,30 +225,31 @@ def _check_kept(
         raise FixpointError(_where(model, f, side) + f"failed to preserve {name}")
 
 
+def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
+    f = Arrow(*f)
+    if f in model.weq:
+        return model
+    lat = model.lattice
+    new_weq = _localize_weq(model, f, side)
+    localized = derive_classes(
+        new_weq, ArrowSet(lat, _kept_af(model, new_weq.mask, side))
+    )
+    _check_kept(model, localized, f, side)
+    return localized
+
+
 def right_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
     """Right Bousfield localization at f; fibrations are preserved.
 
     The localization keeps F, so its acyclic fibrations are W' & F for
     the localized weak equivalences W'.
     """
-    f = Arrow(*f)
-    if f in model.weq:
-        return model
-    new_weq = _localize_weq(model, f, side="right")
-    localized = derive_classes(new_weq, new_weq & model.fib)
-    _check_kept(model, localized, f, "right")
-    return localized
+    return _localize(model, f, "right")
 
 
 def left_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
     """Left Bousfield localization at f; cofibrations and AF are preserved."""
-    f = Arrow(*f)
-    if f in model.weq:
-        return model
-    new_weq = _localize_weq(model, f, side="left")
-    localized = derive_classes(new_weq, model.acyclic_fib)
-    _check_kept(model, localized, f, "left")
-    return localized
+    return _localize(model, f, "left")
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +303,8 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     loops appear.  Each edge runs the weak equivalence fixpoint and reads
     its target from the enumeration by the key (W', AF'): AF' = W' & F on
     the right, the old AF on the left.  The enumeration holds exactly the
-    pairs derive_classes admits, so a key it lacks goes to the public
-    localization, which raises the error that derivation gives.
+    pairs derive_classes admits, so a key it lacks is derived with the
+    check on, which raises the error that derivation gives.
     """
     structures = enumerate_model_structures(lat)
     position = {m.key(): i for i, m in enumerate(structures)}
@@ -309,15 +318,15 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
         for f, k in covers:
             if weq >> k & 1:
                 continue
-            for side, op in (("left", left_localize), ("right", right_localize)):
+            for side in ("left", "right"):
                 new_weq = _weq_fixpoint(t, model, f, side)
-                if side == "right":
-                    key = (new_weq, new_weq & model.fib.mask)
-                else:
-                    key = (new_weq, model.acyclic_fib.mask)
-                j = position.get(key)
+                af = _kept_af(model, new_weq, side)
+                j = position.get((new_weq, af))
                 if j is None:
-                    j = position[op(model, f).key()]
+                    derived = derive_classes(
+                        ArrowSet(lat, new_weq), ArrowSet(lat, af)
+                    )
+                    j = position[derived.key()]
                 _check_kept(model, structures[j], f, side)
                 found.append((i, side, k, j))
     found.sort()

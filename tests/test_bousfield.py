@@ -283,9 +283,9 @@ def test_localization_graph(name, corpus):
 def test_graph_raises_the_derivation_error_off_the_enumeration(
     monkeypatch, pentagon, arrows, error
 ):
-    # A fixpoint result that keys no enumerated structure goes through the
-    # public localization: the first edge (trivial model, left) must fail
-    # as derive_classes(check=True) does on W' with the old AF = {}.
+    # A fixpoint result that keys no enumerated structure is derived with
+    # the check on: the first edge (trivial model, left) must fail as
+    # derive_classes(check=True) does on W' with the old AF = {}.
     bad = ArrowSet.from_labels(pentagon, arrows)
     monkeypatch.setattr(
         bousfield, "_weq_fixpoint", lambda t, model, f, side: bad.mask
