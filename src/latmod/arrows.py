@@ -139,6 +139,7 @@ class _Tables:
         "push",
         "triples",
         "triangles",
+        "triangles_at",
         "kill_llp",
         "kill_rlp",
         "cover_mask",
@@ -176,6 +177,12 @@ class _Tables:
         # The same triples as single-bit masks, and as three-bit masks.
         self.triples = tuple((1 << i, 1 << j, 1 << k) for i, j, k in triples)
         self.triangles = tuple(a | b | c for a, b, c in self.triples)
+        # triangles_at[k]: the three-bit masks of the triangles through k.
+        at: list[list[int]] = [[] for _ in range(self.m)]
+        for triangle, legs in zip(self.triangles, triples):
+            for k in legs:
+                at[k].append(triangle)
+        self.triangles_at = tuple(map(tuple, at))
 
         self.kill_llp = [0] * self.m
         self.kill_rlp = [0] * self.m

@@ -1,13 +1,15 @@
 """Left and right Bousfield localization of lattice model structures.
 
-Localizing at an arrow enlarges the weak equivalences by a fixpoint
-construction.  Right localization keeps the fibrations F, so its acyclic
-fibrations are W' & F; left localization keeps the cofibrations (and so
-the acyclic fibrations) untouched.  Golden arrows report the acyclic
-fibrations a right localization at a cover adds; the tests check that,
-with the old ones, they generate W' & F.  The localization graph runs
-only the weak equivalence fixpoint per edge and reads the target structure
-from the enumeration by its (W', AF') key.
+Localizing at an arrow enlarges the weak equivalences by a closure that
+reads W alone: two-out-of-three, plus the pullbacks (right) or pushouts
+(left) of the new arrows.  Right localization keeps the fibrations F, so
+its acyclic fibrations are W' & F; left localization keeps the
+cofibrations (and so the acyclic fibrations) untouched.  Golden arrows
+report the acyclic fibrations a right localization at a cover adds; the
+tests check that, with the old ones, they generate W' & F.  The
+localization graph runs the closure once per (W, cover, side), not once
+per edge, and reads each target structure from the enumeration by its
+(W', AF') key.
 """
 from __future__ import annotations
 
@@ -16,15 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .arrows import (
-    ArrowSet,
-    _compose_closed,
-    _composites,
-    _Tables,
-    _tables,
-    _two_of_three,
-    _union_rows,
-)
+from .arrows import ArrowSet, _Tables, _tables, _union_rows
 from .errors import AmbiguousMinimum, FixpointError, NotShort
 from .lattice import Arrow, FiniteLattice, _bits
 from .models import (
@@ -159,45 +153,57 @@ def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
 def _localize_weq(model: ModelStructure, f: Arrow, side: str) -> ArrowSet:
     """The localized weak equivalences of model at f, on the given side."""
     lat = model.lattice
-    return ArrowSet(lat, _weq_fixpoint(_tables(lat), model, f, side))
+    k = lat.arrow_position[f]
+    return ArrowSet(lat, _weq_fixpoint(_tables(lat), model.weq.mask, k, side))
 
 
-def _weq_fixpoint(t: _Tables, model: ModelStructure, f: Arrow, side: str) -> int:
-    """Fixpoint computation of the localized weak equivalences, as a mask.
+def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
+    """The localized weak equivalences of W = weq at arrow k, as a mask.
 
-    Alternates between generating the moving class (AF on the right, AC
-    on the left) from the newly added weak equivalences and reclosing the
-    composite class under two-out-of-three, until the weak equivalences
-    stop growing.  The moving class stays a (co)transfer system, whose
-    pullbacks (pushouts) are members already, so after the first round
-    only the fresh arrows' rows are added before the composition pass.
+    The least V containing W and arrow k that is closed under
+    two-out-of-three and holds the pullbacks (right side) or pushouts
+    (left side) of every arrow in V - W.  It reads W alone, not AF or AC.
+
+    It equals the two-class definition, whose rounds regenerate the
+    moving class (AF on the right, AC on the left) from the new weak
+    equivalences and reclose the composite class under two-out-of-three.
+    On the right, let Y be f with every fresh arrow so far and P(Y) their
+    pullbacks (the left side is dual, with pushouts and AF, AC swapped):
+      1. AF is a transfer system, so the round's moving class is
+         M = CC(AF | Y | P(Y)), CC the composition closure;
+      2. a set closed under two-out-of-three is closed under composition;
+      3. W = AF o AC: factor w in W as a cofibration then an acyclic
+         fibration, and two-out-of-three makes the cofibration weak.
+    So a round computes 2oo3(AC | M | M o AC) = 2oo3(W | Y | P(Y)):
+    AC and AF lie in W and the rest are composites of members of
+    W | Y | P(Y), and W = AF o AC lies in M o AC while Y | P(Y) lies in
+    M.  After round r, Y = W_r - W, so the rounds are
+    W_{r+1} = 2oo3(W_r | P(W_r - W)) from W_0 = W | {f}.  V need not be
+    the smallest weak equivalence set containing W and f.
+
+    W is already closed under two-out-of-three, so only triangles
+    through new arrows can fire: a worklist pops each new arrow once,
+    adds its pullback (pushout) row, and completes every triangle through
+    it that has exactly two members.  Bits are only ever added.
     """
-    if side == "right":
-        rows, moving = t.pull, model.acyclic_fib.mask
-    else:
-        rows, moving = t.push, model.acyclic_cof.mask
-    af, ac = model.acyclic_fib.mask, model.acyclic_cof.mask
-    weq = model.weq.mask
-    # The first round generates from the whole class and f.
-    fresh = moving | 1 << model.lattice.arrow_position[f]
-    for _ in range(t.m + 1):
-        moving = _compose_closed(t, moving | fresh | _union_rows(rows, fresh))
-        if side == "right":
-            grown = _composites(t, moving, ac)
-        else:
-            grown = _composites(t, af, moving)
-        grown = _two_of_three(t, grown)
-        if grown == weq:
-            return weq
-        if weq & ~grown:
-            raise FixpointError(
-                _where(model, f, side) + "localized weak equivalences shrank"
-            )
-        fresh = grown & ~weq
-        weq = grown
-    raise FixpointError(
-        _where(model, f, side) + "weak equivalence fixpoint did not stabilize"
-    )
+    rows = t.pull if side == "right" else t.push
+    triangles_at = t.triangles_at
+    todo = 1 << k & ~weq
+    mask = weq | todo
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        a = bit.bit_length() - 1
+        grown = rows[a]
+        for triangle in triangles_at[a]:
+            has = mask & triangle
+            # exactly two of the three arrows: not all, and not at most one
+            if has != triangle and has & (has - 1):
+                grown |= triangle
+        grown &= ~mask
+        mask |= grown
+        todo |= grown
+    return mask
 
 
 def _where(model: ModelStructure, f: Arrow, side: str) -> str:
@@ -300,11 +306,12 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
 
     Edges localize at covers outside the weak equivalences only; a cover
     already weakly equivalent gives the identity localization, so no self
-    loops appear.  Each edge runs the weak equivalence fixpoint and reads
-    its target from the enumeration by the key (W', AF'): AF' = W' & F on
-    the right, the old AF on the left.  The enumeration holds exactly the
-    pairs derive_classes admits, so a key it lacks is derived with the
-    check on, which raises the error that derivation gives.
+    loops appear.  The localized weak equivalences depend on (W, cover,
+    side) alone, so the fixpoint runs once per such triple, and each edge
+    reads its target from the enumeration by the key (W', AF'): AF' =
+    W' & F on the right, the old AF on the left.  The enumeration holds
+    exactly the pairs derive_classes admits, so a key it lacks is derived
+    with the check on, which raises the error that derivation gives.
     """
     structures = enumerate_model_structures(lat)
     position = {m.key(): i for i, m in enumerate(structures)}
@@ -312,6 +319,7 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     t = _tables(lat)
     arrow_pos = lat.arrow_position
     covers = [(f, arrow_pos[f]) for f in lat.covers]
+    localized: dict[tuple[int, int, str], int] = {}
     found: list[tuple[int, str, int, int]] = []
     for i, model in enumerate(structures):
         weq = model.weq.mask
@@ -319,7 +327,10 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
             if weq >> k & 1:
                 continue
             for side in ("left", "right"):
-                new_weq = _weq_fixpoint(t, model, f, side)
+                new_weq = localized.get((weq, k, side))
+                if new_weq is None:
+                    new_weq = _weq_fixpoint(t, weq, k, side)
+                    localized[weq, k, side] = new_weq
                 af = _kept_af(model, new_weq, side)
                 j = position.get((new_weq, af))
                 if j is None:

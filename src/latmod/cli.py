@@ -131,11 +131,14 @@ def _add_lattice_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise LatmodError(f"cannot write {out}: {exc}") from exc
 
 
 def _emit_json(data: Any, out: str | None) -> None:

@@ -399,6 +399,35 @@ def naive_localize_weq(
     raise RuntimeError("naive localization did not stabilize")
 
 
+def naive_local_closure(
+    n: int,
+    leq: set[Pair],
+    meets,
+    joins,
+    weq: frozenset[Pair],
+    f: Pair,
+    side: str,
+) -> frozenset[Pair]:
+    """Localized weak equivalences from W alone, with no AF or AC.
+
+    Starts from W and f, and repeats V <- 2oo3(V | P(V - W)) until V
+    stops growing, where P takes pullbacks on the right and pushouts on
+    the left.
+    """
+
+    def grab(arrows):
+        if side == "right":
+            return pullback_close(n, leq, meets, arrows)
+        return pushout_close(n, leq, joins, arrows)
+
+    current = weq | {f}
+    while True:
+        grown = two_out_of_three_close(n, leq, current | grab(current - weq))
+        if grown == current:
+            return current
+        current = grown
+
+
 def opposite(lat):
     """The opposite lattice: the same labels with every cover reversed."""
     labels = lat.labels

@@ -37,7 +37,11 @@ from latmod.bousfield import LocalizationEdge, LocalizationGraph
 from latmod.errors import FixpointError
 
 from conftest import lattice_as_sets
-from oracles import naive_golden_reports, naive_localize_weq
+from oracles import (
+    naive_golden_reports,
+    naive_local_closure,
+    naive_localize_weq,
+)
 
 
 def cube():
@@ -153,17 +157,51 @@ def test_localized_weq_matches_the_naive_fixpoint(corpus):
                     assert as_pairs(got) == want
 
 
-def test_fixpoint_errors_name_the_localization(
-    monkeypatch, pentagon, pentagon_model
+def test_localized_weq_reads_only_w(corpus):
+    # The two-class rounds equal the closure of W and f under
+    # two-out-of-three and the pullbacks (pushouts) of V - W.
+    for lat in corpus.values():
+        n, leq, _, meets, joins = lattice_as_sets(lat)
+        for model in enumerate_model_structures(lat):
+            classes = tuple(
+                as_pairs(c)
+                for c in (model.weq, model.acyclic_fib, model.acyclic_cof)
+            )
+            for f in lat.arrows:
+                if f in model.weq:
+                    continue
+                for side in ("left", "right"):
+                    want = naive_localize_weq(
+                        n, leq, meets, joins, classes, tuple(f), side
+                    )
+                    got = naive_local_closure(
+                        n, leq, meets, joins, classes[0], tuple(f), side
+                    )
+                    assert got == want
+
+
+def test_graph_checks_that_left_localization_keeps_cofibrations(
+    monkeypatch, pentagon
 ):
-    # Two-out-of-three never drops arrows; one that does must be caught.
-    monkeypatch.setattr(bousfield, "_two_of_three", lambda t, mask: 0)
-    with pytest.raises(FixpointError) as err:
-        right_localize(pentagon_model, pentagon.arrow("C", "1"))
-    assert str(err.value) == (
-        "right localization of W={0->A, 0->B, 0->C, A->C} at C->1: "
-        "localized weak equivalences shrank"
+    # C = llp(AF) and left localization keeps AF, so no fixpoint result can
+    # change the cofibrations; a left rule that drops AF must be refused.
+    kept_af = bousfield._kept_af
+
+    def dropped(model, weq, side):
+        return 0 if side == "left" else kept_af(model, weq, side)
+
+    monkeypatch.setattr(bousfield, "_kept_af", dropped)
+    model = enumerate_model_structures(pentagon)[5]
+    assert model.signature() == "W={A->C} AF={A->C}"
+    message = (
+        "left localization of W={A->C} at 0->A: failed to preserve cofibrations"
     )
+    with pytest.raises(FixpointError) as err:
+        localization_graph(pentagon)
+    assert str(err.value) == message
+    with pytest.raises(FixpointError) as err:
+        left_localize(model, pentagon.arrow("0", "A"))
+    assert str(err.value) == message
 
 
 def test_golden_arrows_generate_the_right_localized_acyclic_fibrations(corpus):
@@ -275,6 +313,25 @@ def test_localization_graph(name, corpus):
             assert model.acyclic_fib <= redone.acyclic_fib
 
 
+@pytest.mark.parametrize("name, calls", [("n5", 128), ("square", 48)])
+def test_graph_runs_one_fixpoint_per_weq_cover_and_side(
+    monkeypatch, corpus, name, calls
+):
+    # n5's 236 edges come from 128 (W, cover, side) triples, the square's
+    # 64 from 48; each triple runs the fixpoint once.
+    seen = []
+    fixpoint = bousfield._weq_fixpoint
+
+    def counted(t, weq, k, side):
+        seen.append((weq, k, side))
+        return fixpoint(t, weq, k, side)
+
+    monkeypatch.setattr(bousfield, "_weq_fixpoint", counted)
+    graph = localization_graph(corpus[name])
+    assert len(graph.edges) == GRAPH_SHAPE[name][1]
+    assert len(seen) == len(set(seen)) == calls
+
+
 @pytest.mark.parametrize(
     "arrows, error",
     [([("0", "1")], NotAWeakEquivalenceSet), ([("0", "B")], NotAdmissible)],
@@ -288,7 +345,7 @@ def test_graph_raises_the_derivation_error_off_the_enumeration(
     # derive_classes(check=True) does on W' with the old AF = {}.
     bad = ArrowSet.from_labels(pentagon, arrows)
     monkeypatch.setattr(
-        bousfield, "_weq_fixpoint", lambda t, model, f, side: bad.mask
+        bousfield, "_weq_fixpoint", lambda t, weq, k, side: bad.mask
     )
     with pytest.raises(error) as want:
         derive_classes(bad, ArrowSet.empty(pentagon), check=True)
@@ -304,8 +361,8 @@ def test_graph_checks_that_right_localization_keeps_fibrations(
     # arrow; the first model with fewer fibrations must be refused.
     fixpoint = bousfield._weq_fixpoint
 
-    def emptied(t, model, f, side):
-        return 0 if side == "right" else fixpoint(t, model, f, side)
+    def emptied(t, weq, k, side):
+        return 0 if side == "right" else fixpoint(t, weq, k, side)
 
     monkeypatch.setattr(bousfield, "_weq_fixpoint", emptied)
     model = enumerate_model_structures(pentagon)[1]

@@ -521,6 +521,17 @@ def test_out_writes_file_instead_of_stdout(cli, tmp_path):
     assert target.read_text() == "26\n"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_invalid_input(cli, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = cli(
+        "transfers", "enumerate", "--lattice", "builtin:n5", "--out", str(target)
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(cli):
     assert cli()[0] == 2
     assert cli("transfers")[0] == 2
