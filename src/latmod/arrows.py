@@ -16,7 +16,6 @@ from .lattice import (
     Arrow,
     FiniteLattice,
     _cached,
-    _union_rows,
     pullbacks_of,
     pushouts_of,
 )
@@ -41,9 +40,11 @@ class ArrowSet:
 
     @classmethod
     def of(cls, lat: FiniteLattice, arrows: Iterable[Arrow | tuple[int, int]]) -> "ArrowSet":
+        # Arrow is a NamedTuple, so a plain pair finds the same key.
+        pos = lat.arrow_position
         mask = 0
         for f in arrows:
-            mask |= 1 << lat.arrow_position[Arrow(*f)]
+            mask |= 1 << pos[tuple(f)]
         return cls(lat, mask)
 
     @classmethod
@@ -55,7 +56,7 @@ class ArrowSet:
     # -- set behaviour --------------------------------------------------
 
     def __contains__(self, f: Arrow) -> bool:
-        pos = self.lattice.arrow_position.get(Arrow(*f))
+        pos = self.lattice.arrow_position.get(tuple(f))
         return pos is not None and bool(self.mask >> pos & 1)
 
     def __iter__(self) -> Iterator[Arrow]:
@@ -103,11 +104,17 @@ class ArrowSet:
         return [[labels[f.source], labels[f.target]] for f in self]
 
     def signature(self) -> str:
-        inner = ", ".join(self.lattice.arrow_name(f) for f in self)
+        names = _cached(self.lattice, "arrow_names", _arrow_names, self.lattice)
+        mask = self.mask
+        inner = ", ".join([name for i, name in enumerate(names) if mask >> i & 1])
         return "{" + inner + "}"
 
     def __repr__(self) -> str:
         return f"ArrowSet({self.signature()})"
+
+
+def _arrow_names(lat: FiniteLattice) -> tuple[str, ...]:
+    return tuple(map(lat.arrow_name, lat.arrows))
 
 
 def lex_key(aset: ArrowSet) -> int:
@@ -130,7 +137,12 @@ def lex_key(aset: ArrowSet) -> int:
 
 
 class _Tables:
-    """Precomputed bit tables driving every closure and lifting operator."""
+    """Precomputed bit tables driving every closure and lifting operator.
+
+    Each per-arrow row table that is read as a union of rows (pull, push,
+    kill_llp, kill_rlp, retracts) also has a byte table, `<name>_bytes`,
+    for _union_bytes.
+    """
 
     __slots__ = (
         "m",
@@ -144,7 +156,13 @@ class _Tables:
         "kill_rlp",
         "cover_mask",
         "up",
+        "down",
         "retracts",
+        "pull_bytes",
+        "push_bytes",
+        "kill_llp_bytes",
+        "kill_rlp_bytes",
+        "retracts_bytes",
     )
 
     def __init__(self, lat: FiniteLattice) -> None:
@@ -184,21 +202,26 @@ class _Tables:
                 at[k].append(triangle)
         self.triangles_at = tuple(map(tuple, at))
 
-        self.kill_llp = [0] * self.m
-        self.kill_rlp = [0] * self.m
+        kill_llp = [0] * self.m
+        kill_rlp = [0] * self.m
         for j, (x, y) in enumerate(arrows):
             for i, (a, b) in enumerate(arrows):
                 # f: a -> b lifts on the left of s: x -> y unless a square
                 # exists (a <= x, b <= y) with no diagonal b <= x.
                 if lat.le(a, x) and lat.le(b, y) and not lat.le(b, x):
-                    self.kill_llp[j] |= 1 << i
+                    kill_llp[j] |= 1 << i
                 if lat.le(x, a) and lat.le(y, b) and not lat.le(y, a):
-                    self.kill_rlp[j] |= 1 << i
+                    kill_rlp[j] |= 1 << i
+        self.kill_llp = tuple(kill_llp)
+        self.kill_rlp = tuple(kill_rlp)
 
         self.cover_mask = _mask_of(pos, lat.covers)
-        # Element masks: up[x] holds the y with x < y.
+        # Element masks: up[x] holds the y with x < y, down[y] the x < y.
         elems = range(lat.n)
         self.up = tuple(row & ~(1 << x) for x, row in enumerate(lat._up))
+        self.down = tuple(
+            sum(1 << x for x in elems if self.up[x] >> y & 1) for y in elems
+        )
         # retracts[k]: the arrows a -> b with a order-isomorphic to the
         # source of arrow k and b to its target (a <= x <= a, b <= y <= b).
         iso = [
@@ -210,6 +233,40 @@ class _Tables:
             )
             for x, y in arrows
         )
+
+        self.pull_bytes = _byte_table(self.pull)
+        self.push_bytes = _byte_table(self.push)
+        self.kill_llp_bytes = _byte_table(self.kill_llp)
+        self.kill_rlp_bytes = _byte_table(self.kill_rlp)
+        self.retracts_bytes = _byte_table(self.retracts)
+
+
+def _byte_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # Entry [c][b] is the union of rows[8c + i] over the set bits i of the
+    # byte b; each entry adds one row to the entry without its lowest bit.
+    # The last chunk covers only the rows left (none when there are none).
+    out = []
+    for start in range(0, len(rows), 8):
+        chunk = rows[start : start + 8]
+        table = [0] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | chunk[low.bit_length() - 1]
+        out.append(tuple(table))
+    return tuple(out)
+
+
+def _union_bytes(chunks: tuple[tuple[int, ...], ...], mask: int) -> int:
+    """The union of the rows over the set bits of mask, from a byte table.
+
+    Equal to _union_rows(rows, mask) for chunks = _byte_table(rows), in
+    one lookup per byte of the arrow mask instead of one per set bit.
+    """
+    out = 0
+    for table in chunks:
+        out |= table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def _mask_of(pos: dict[Arrow, int], arrows: Iterable[Arrow]) -> int:
@@ -223,15 +280,19 @@ def _tables(lat: FiniteLattice) -> _Tables:
     return _cached(lat, "tables", _Tables, lat)
 
 
-def _fixpoint(t: _Tables, mask: int, step) -> int:
+def _fixpoint(aset: ArrowSet, step, name: str) -> int:
     # Each productive round adds at least one arrow, so m+1 rounds suffice
     # for any monotone step; running longer signals a bug.
-    for _ in range(t.m + 1):
+    rounds = len(aset.lattice.arrows) + 1
+    mask = aset.mask
+    for _ in range(rounds):
         grown = step(mask)
         if grown == mask:
             return mask
         mask = grown
-    raise FixpointError("closure did not stabilize within the arrow bound")
+    raise FixpointError(
+        f"{name} of {aset.signature()} did not stabilize within {rounds} rounds"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +321,7 @@ def close_pullback(aset: ArrowSet) -> ArrowSet:
     (meets are associative), so each pull row is closed under pull.
     """
     t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.pull, aset.mask))
+    return ArrowSet(aset.lattice, aset.mask | _union_bytes(t.pull_bytes, aset.mask))
 
 
 def close_pushout(aset: ArrowSet) -> ArrowSet:
@@ -269,26 +330,27 @@ def close_pushout(aset: ArrowSet) -> ArrowSet:
     One pass suffices, dually to close_pullback (joins are associative).
     """
     t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.push, aset.mask))
+    return ArrowSet(aset.lattice, aset.mask | _union_bytes(t.push_bytes, aset.mask))
 
 
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     """Close under composition and both cancellation rules, to a fixpoint."""
-    return ArrowSet(aset.lattice, _two_of_three(_tables(aset.lattice), aset.mask))
+    t = _tables(aset.lattice)
+    mask = _fixpoint(
+        aset, lambda mask: _two_of_three_pass(t, mask), "two-out-of-three closure"
+    )
+    return ArrowSet(aset.lattice, mask)
 
 
-def _two_of_three(t: _Tables, mask: int) -> int:
-    triangles = t.triangles
-
-    def step(mask: int) -> int:
-        for triangle in triangles:
-            has = mask & triangle
-            # exactly two of the three arrows: not all, and not at most one
-            if has != triangle and has & (has - 1):
-                mask |= triangle
-        return mask
-
-    return _fixpoint(t, mask, step)
+def _two_of_three_pass(t: _Tables, mask: int) -> int:
+    # One round: complete every triangle that holds exactly two arrows.
+    # A set is two-out-of-three closed exactly when a round adds nothing.
+    for triangle in t.triangles:
+        has = mask & triangle
+        # exactly two of the three arrows: not all, and not at most one
+        if has != triangle and has & (has - 1):
+            mask |= triangle
+    return mask
 
 
 def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
@@ -307,7 +369,9 @@ def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
                 mask |= composite
         return mask
 
-    return ArrowSet(aset.lattice, _fixpoint(t, aset.mask, step))
+    return ArrowSet(
+        aset.lattice, _fixpoint(aset, step, "wide decomposable closure")
+    )
 
 
 def close_retracts(aset: ArrowSet) -> ArrowSet:
@@ -316,10 +380,12 @@ def close_retracts(aset: ArrowSet) -> ArrowSet:
     A retract diagram around g: x -> y needs maps a -> x -> a and
     b -> y -> b, which in a poset force a = x and b = y, so this always
     returns its input; it is kept as a genuine check of that fact, read
-    from the per-arrow table of order-isomorphic endpoints.
+    from the table of order-isomorphic endpoints.
     """
     t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.retracts, aset.mask))
+    return ArrowSet(
+        aset.lattice, aset.mask | _union_bytes(t.retracts_bytes, aset.mask)
+    )
 
 
 def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
@@ -368,14 +434,14 @@ def is_wide_decomposable(aset: ArrowSet) -> bool:
 def is_transfer_system(aset: ArrowSet) -> bool:
     """Closed under nontrivial pullbacks and under composition."""
     t = _tables(aset.lattice)
-    pulled = _union_rows(t.pull, aset.mask)
+    pulled = _union_bytes(t.pull_bytes, aset.mask)
     return not pulled & ~aset.mask and is_composition_closed(aset)
 
 
 def is_cotransfer_system(aset: ArrowSet) -> bool:
     """Closed under nontrivial pushouts and under composition."""
     t = _tables(aset.lattice)
-    pushed = _union_rows(t.push, aset.mask)
+    pushed = _union_bytes(t.push_bytes, aset.mask)
     return not pushed & ~aset.mask and is_composition_closed(aset)
 
 
@@ -400,11 +466,17 @@ def generate_cotransfer(aset: ArrowSet) -> ArrowSet:
 
 def llp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the left lifting property against every member."""
-    t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, t.full & ~_union_rows(t.kill_llp, aset.mask))
+    return ArrowSet(aset.lattice, _llp(_tables(aset.lattice), aset.mask))
 
 
 def rlp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the right lifting property against every member."""
-    t = _tables(aset.lattice)
-    return ArrowSet(aset.lattice, t.full & ~_union_rows(t.kill_rlp, aset.mask))
+    return ArrowSet(aset.lattice, _rlp(_tables(aset.lattice), aset.mask))
+
+
+def _llp(t: _Tables, mask: int) -> int:
+    return t.full & ~_union_bytes(t.kill_llp_bytes, mask)
+
+
+def _rlp(t: _Tables, mask: int) -> int:
+    return t.full & ~_union_bytes(t.kill_rlp_bytes, mask)

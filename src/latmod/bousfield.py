@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .arrows import ArrowSet, _Tables, _tables, _union_rows
+from .arrows import ArrowSet, _Tables, _tables
 from .errors import AmbiguousMinimum, FixpointError, NotShort
-from .lattice import Arrow, FiniteLattice, _bits
+from .lattice import Arrow, FiniteLattice, _bits, _cached, _union_rows
 from .models import (
     ModelStructure,
     derive_classes,
@@ -31,36 +31,39 @@ from .models import (
 
 def weq_components(weq: ArrowSet) -> tuple[tuple[int, ...], ...]:
     """Blocks of elements connected by weak equivalences, sorted by minimum."""
-    linked = _linked(weq)
-    blocks: list[tuple[int, ...]] = []
-    seen = 0
-    for x in range(weq.lattice.n):
-        if not seen >> x & 1:
-            block = _block(linked, x)
-            seen |= block
-            blocks.append(tuple(_bits(block)))
-    return tuple(blocks)
+    return tuple(
+        tuple(_bits(block))
+        for x, block in enumerate(_blocks(weq))
+        if block & -block == 1 << x
+    )
 
 
-def _linked(weq: ArrowSet) -> list[int]:
-    # Element masks: each element with its neighbours along weq arrows.
-    linked = [1 << x for x in range(weq.lattice.n)]
+def _blocks(weq: ArrowSet) -> tuple[int, ...]:
+    # Element masks: the block of each element, kept per W.
+    return _cached(weq.lattice, ("weq_blocks", weq.mask), _block_masks, weq)
+
+
+def _block_masks(weq: ArrowSet) -> tuple[int, ...]:
+    # Each element with its neighbours along weq arrows, then each block
+    # grown breadth first from its least element.
+    n = weq.lattice.n
+    linked = [1 << x for x in range(n)]
     arrows = weq.lattice.arrows
     for k in _bits(weq.mask):
         a, b = arrows[k]
         linked[a] |= 1 << b
         linked[b] |= 1 << a
-    return linked
-
-
-def _block(linked: list[int], x: int) -> int:
-    # Element mask of the block of x, grown breadth first.
-    block = frontier = 1 << x
-    while frontier:
-        grown = _union_rows(linked, frontier)
-        frontier = grown & ~block
-        block |= grown
-    return block
+    blocks = [0] * n
+    for x in range(n):
+        if not blocks[x]:
+            block = frontier = 1 << x
+            while frontier:
+                grown = _union_rows(linked, frontier)
+                frontier = grown & ~block
+                block |= grown
+            for y in _bits(block):
+                blocks[y] = block
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,12 @@ def golden_arrows(
 def _cover_weq(model: ModelStructure, f: Arrow) -> ArrowSet:
     # The weak equivalences after right localization at the cover f.
     lat = model.lattice
-    if f not in lat.covers:
-        raise NotShort(f"{lat.arrow_name(f)} is not a cover")
-    if f in model.weq:
+    k = lat.arrow_position.get(tuple(f))
+    if k is None or not _tables(lat).cover_mask >> k & 1:
+        raise NotShort(f"{lat.arrow_name(Arrow(*f))} is not a cover")
+    if model.weq.mask >> k & 1:
         return model.weq
-    return _localize_weq(model, f, side="right")
+    return _localize_weq(model, lat.arrows[k], side="right")
 
 
 def _golden_reports(
@@ -107,22 +111,18 @@ def _golden_reports(
     new_covers = new_weq.mask & ~model.weq.mask & t.cover_mask
     if not new_covers:
         return ()
-    linked = _linked(model.weq)
+    blocks = _blocks(model.weq)
     arrows, pos = lat.arrows, lat.arrow_position
     reports: list[GoldenArrowReport] = []
     for k in _bits(new_covers):
         sigma = arrows[k]
-        targets = _maximal(t, _block(linked, sigma.target))
-        under = sum(
-            1 << y
-            for y in _bits(_block(linked, sigma.source))
-            if (t.up[y] | 1 << y) & targets
-        )
+        targets = _maximal(t, blocks[sigma.target])
+        under = blocks[sigma.source] & (targets | _union_rows(t.down, targets))
         sources = _maximal(t, under)
         golden = 0
         for s in _bits(sources):
             for y in _bits(t.up[s] & targets):
-                golden |= 1 << pos[Arrow(s, y)]
+                golden |= 1 << pos[s, y]
         reports.append(
             GoldenArrowReport(
                 sigma,
@@ -135,11 +135,7 @@ def _golden_reports(
 
 
 def _maximal(t, elems: int) -> int:
-    out = 0
-    for x in _bits(elems):
-        if not t.up[x] & elems:
-            out |= 1 << x
-    return out
+    return elems & ~_union_rows(t.down, elems)
 
 
 def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
@@ -232,10 +228,11 @@ def _check_kept(
 
 
 def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
-    f = Arrow(*f)
-    if f in model.weq:
-        return model
     lat = model.lattice
+    k = lat.arrow_position[tuple(f)]
+    if model.weq.mask >> k & 1:
+        return model
+    f = lat.arrows[k]
     new_weq = _localize_weq(model, f, side)
     localized = derive_classes(
         new_weq, ArrowSet(lat, _kept_af(model, new_weq.mask, side))

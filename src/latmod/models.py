@@ -12,17 +12,18 @@ from dataclasses import dataclass
 
 from .arrows import (
     ArrowSet,
-    close_retracts,
-    close_two_out_of_three,
     close_wide_decomposable,
-    compose_sets,
     is_composition_closed,
     is_cotransfer_system,
     is_transfer_system,
     is_wide_decomposable,
-    llp_dual,
     rlp_dual,
+    _composites,
+    _llp,
+    _rlp,
     _tables,
+    _two_of_three_pass,
+    _union_bytes,
 )
 from .errors import (
     MaximalityViolation,
@@ -186,28 +187,38 @@ def derive_classes(
 ) -> ModelStructure:
     """Complete (W, AF) to a full model structure by lifting.
 
-    With check enabled, raises NotAdmissible unless AF lies in the
-    admissible interval of W (which also validates W itself).
+    With check enabled, raises NotAdmissible unless AF is one of the
+    systems of af_interval(W), which also validates W itself.
     """
-    if check:
-        # Catalog order refines containment, so the interval runs from
-        # t_min to t_max and AF is in it exactly when it is a transfer
-        # system between the two.
-        interval = af_interval(weq)
-        af = acyclic_fib.mask
-        if (
-            interval[0].mask & ~af
-            or af & ~interval[-1].mask
-            or not is_transfer_system(acyclic_fib)
-        ):
-            raise NotAdmissible(
-                f"AF={acyclic_fib.signature()} is outside the admissible "
-                f"interval of W={weq.signature()}"
-            )
-    cof = llp_dual(acyclic_fib)
-    acyclic_cof = cof & weq
-    fib = rlp_dual(acyclic_cof)
-    return ModelStructure(weq.lattice, weq, acyclic_fib, cof, acyclic_cof, fib)
+    lat = weq.lattice
+    af = weq._compatible(acyclic_fib)
+    if check and af not in _interval_masks(weq):
+        raise NotAdmissible(
+            f"AF={acyclic_fib.signature()} is outside the admissible "
+            f"interval of W={weq.signature()}"
+        )
+    t = _tables(lat)
+    cof = _llp(t, af)
+    ac = cof & weq.mask
+    fib = _rlp(t, ac)
+    return ModelStructure(
+        lat,
+        weq,
+        acyclic_fib,
+        ArrowSet(lat, cof),
+        ArrowSet(lat, ac),
+        ArrowSet(lat, fib),
+    )
+
+
+def _interval_masks(weq: ArrowSet) -> frozenset[int]:
+    # The masks of af_interval(weq), kept for membership tests.
+    key = ("af_interval_masks", weq.mask)
+    return _cached(weq.lattice, key, _mask_set, weq)
+
+
+def _mask_set(weq: ArrowSet) -> frozenset[int]:
+    return frozenset(system.mask for system in af_interval(weq))
 
 
 def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
@@ -232,26 +243,22 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     every arrow through (cofibration, acyclic fibration) and through
     (acyclic cofibration, fibration).
     """
-    lat = model.lattice
-    weq, af = model.weq, model.acyclic_fib
-    cof, ac, fib = model.cof, model.acyclic_cof, model.fib
-    if close_two_out_of_three(weq).mask != weq.mask:
+    t = _tables(model.lattice)
+    weq, af = model.weq.mask, model.acyclic_fib.mask
+    cof, ac, fib = model.cof.mask, model.acyclic_cof.mask, model.fib.mask
+    if _two_of_three_pass(t, weq) != weq:
         return False
     for cls in (weq, cof, fib):
-        if close_retracts(cls).mask != cls.mask:
+        if _union_bytes(t.retracts_bytes, cls) & ~cls:
             return False
-    if llp_dual(af).mask != cof.mask or rlp_dual(cof).mask != af.mask:
+    if _llp(t, af) != cof or _rlp(t, cof) != af:
         return False
-    if llp_dual(fib).mask != ac.mask or fib.mask != rlp_dual(ac).mask:
+    if _llp(t, fib) != ac or _rlp(t, ac) != fib:
         return False
-    if af.mask & ~weq.mask or ac.mask != (cof & weq).mask:
-        return False
-    if af.mask != (fib & weq).mask:
+    if af & ~weq or ac != cof & weq or af != fib & weq:
         return False
     # Every arrow must split as a lower-class leg then an upper-class leg,
-    # identity legs allowed: exactly what compose_sets collects.
-    full = ArrowSet.full(lat).mask
+    # identity legs allowed: exactly what _composites collects.
     return (
-        compose_sets(af, cof).mask == full
-        and compose_sets(fib, ac).mask == full
+        _composites(t, af, cof) == t.full and _composites(t, fib, ac) == t.full
     )

@@ -23,7 +23,9 @@ from latmod import (
     product,
     rlp_dual,
 )
-from latmod.arrows import _tables
+from latmod.arrows import _fixpoint, _tables, _union_bytes
+from latmod.errors import FixpointError
+from latmod.lattice import _union_rows
 
 from conftest import lattice_as_sets
 from oracles import (
@@ -76,6 +78,43 @@ def test_set_operations(pentagon):
 def test_signature_follows_canonical_order(pentagon):
     a = ArrowSet.from_labels(pentagon, [("C", "1"), ("0", "A")])
     assert a.signature() == "{0->A, C->1}"
+
+
+def test_members_may_be_arrows_tuples_or_lists(pentagon):
+    # Every ordered pair of elements, as an Arrow where it is one, as a
+    # tuple and as a list; membership must read the mask bit, and a pair
+    # that is no arrow of the lattice is never a member.
+    rng = random.Random(8)
+    pos = pentagon.arrow_position
+    sets = [ArrowSet(pentagon, rng.randrange(1 << 8)) for _ in range(20)]
+    sets += [ArrowSet.empty(pentagon), ArrowSet.full(pentagon)]
+    for aset in sets:
+        for s in range(pentagon.n):
+            for t in range(pentagon.n):
+                k = pos.get((s, t))
+                expected = k is not None and bool(aset.mask >> k & 1)
+                forms = [(s, t), [s, t]]
+                if k is not None:
+                    forms.append(Arrow(s, t))
+                for f in forms:
+                    assert (f in aset) is expected
+        members = list(aset)
+        for forms in (members, map(tuple, members), map(list, members)):
+            assert ArrowSet.of(pentagon, forms).mask == aset.mask
+    assert (0, 5) not in ArrowSet.full(pentagon)
+    assert (0, 1, 2) not in ArrowSet.full(pentagon)
+    with pytest.raises(KeyError):
+        ArrowSet.of(pentagon, [(1, 0)])
+
+
+def test_fixpoint_error_names_the_closure_and_its_input(pentagon):
+    start = ArrowSet.from_labels(pentagon, [("0", "A")])
+    flip = 1 << pentagon.arrow_position[pentagon.arrow("C", "1")]
+    with pytest.raises(FixpointError) as err:
+        _fixpoint(start, lambda mask: mask ^ flip, "two-out-of-three closure")
+    assert str(err.value) == (
+        "two-out-of-three closure of {0->A} did not stabilize within 9 rounds"
+    )
 
 
 def test_cross_lattice_mixing_rejected(pentagon):
@@ -280,3 +319,25 @@ def test_pullback_and_pushout_tables_are_closed_under_themselves(corpus):
                 for j in range(t.m):
                     if row >> j & 1:
                         assert rows[j] & ~(row | 1 << i) == 0
+
+
+@pytest.mark.parametrize("table", ["pull", "push", "kill_llp", "kill_rlp", "retracts"])
+def test_byte_tables_match_the_row_unions(corpus, table):
+    # grid2x2 has 27 arrows, so its last chunk holds three rows; the
+    # one-element lattice has none and no chunks.
+    lattices = [
+        *corpus.values(),
+        product(product(chain(1), chain(1)), chain(1)),
+        product(chain(2), chain(2)),
+        chain(0),
+    ]
+    assert [len(lat.arrows) for lat in lattices[-2:]] == [27, 0]
+    rng = random.Random(2718)
+    for lat in lattices:
+        t = _tables(lat)
+        rows, chunks = getattr(t, table), getattr(t, f"{table}_bytes")
+        assert len(chunks) == -(-t.m // 8)
+        masks = [1 << i for i in range(t.m)] + [t.full]
+        masks += [rng.getrandbits(t.m) for _ in range(200)]
+        for mask in masks:
+            assert _union_bytes(chunks, mask) == _union_rows(rows, mask)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -234,8 +235,10 @@ def test_derive_classes_rejects_out_of_interval(pentagon):
 
 def test_derive_check_admits_exactly_the_interval(corpus):
     # AF ranges over every arrow set where that is cheap (m <= 8), so sets
-    # between t_min and t_max that are not transfer systems are covered.
-    for lat in corpus.values():
+    # between t_min and t_max that are not transfer systems are covered,
+    # and over every catalog system elsewhere (the cube has m = 19).
+    cube = product(product(chain(1), chain(1)), chain(1))
+    for lat in (*corpus.values(), cube):
         catalog = transfer_catalog(lat)
         m = len(lat.arrows)
         candidates = (
@@ -260,6 +263,17 @@ def test_derive_check_admits_exactly_the_interval(corpus):
                 derive_classes(ArrowSet(lat, mask), catalog[0])
 
 
+def test_derive_check_refuses_a_non_transfer_set_inside_the_bounds(pentagon):
+    # The full W has t_min = {} and t_max = every arrow; {0->A, A->C}
+    # lies between them but misses the composite 0->C.
+    w = ArrowSet.full(pentagon)
+    lo, hi = t_min(w), t_max(w)
+    gap = ArrowSet.from_labels(pentagon, [("0", "A"), ("A", "C")])
+    assert lo <= gap <= hi and not is_transfer_system(gap)
+    with pytest.raises(NotAdmissible):
+        derive_classes(w, gap)
+
+
 def test_axioms_hold_for_every_enumerated_model(pentagon, square):
     for lat in (pentagon, square):
         for m in enumerate_model_structures(lat):
@@ -277,6 +291,24 @@ def test_axioms_reject_bad_pairs(pentagon):
     w2 = ArrowSet.from_labels(pentagon, [("0", "A")])
     bad2 = derive_classes(w2, ArrowSet.empty(pentagon), check=False)
     assert not verify_model_axioms(bad2)
+    # With AF = W = {0->A, 0->C} every other axiom holds, but two of the
+    # triangle 0->A, A->C, 0->C force the third.
+    w3 = ArrowSet.from_labels(pentagon, [("0", "A"), ("0", "C")])
+    assert not verify_model_axioms(derive_classes(w3, w3, check=False))
+
+
+def test_axioms_reject_every_one_arrow_change_of_a_class(pentagon, square):
+    # Flipping one arrow of any one of the five classes of a model breaks
+    # some axiom, read from the masks the model holds, not re-derived.
+    classes = ("weq", "acyclic_fib", "cof", "acyclic_cof", "fib")
+    for lat in (pentagon, square):
+        for model in enumerate_model_structures(lat):
+            for name in classes:
+                mask = getattr(model, name).mask
+                for i in range(len(lat.arrows)):
+                    flipped = ArrowSet(lat, mask ^ 1 << i)
+                    changed = dataclasses.replace(model, **{name: flipped})
+                    assert not verify_model_axioms(changed)
 
 
 def test_enumeration_is_grouped_and_deterministic(pentagon):
