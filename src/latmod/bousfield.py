@@ -19,13 +19,14 @@ from functools import cached_property
 from typing import Iterator
 
 from .arrows import ArrowSet, _Tables, _tables
-from .errors import AmbiguousMinimum, FixpointError, NotShort
+from .errors import AmbiguousMinimum, FixpointError, NotShort, UnknownLabel
 from .lattice import Arrow, FiniteLattice, _bits, _cached, _union_rows
 from .models import (
     ModelStructure,
     derive_classes,
     enumerate_model_structures,
     enumerate_weak_equivalence_sets,
+    _model_table,
 )
 
 
@@ -93,9 +94,12 @@ def golden_arrows(
 def _cover_weq(model: ModelStructure, f: Arrow) -> ArrowSet:
     # The weak equivalences after right localization at the cover f.
     lat = model.lattice
-    k = lat.arrow_position.get(tuple(f))
-    if k is None or not _tables(lat).cover_mask >> k & 1:
-        raise NotShort(f"{lat.arrow_name(Arrow(*f))} is not a cover")
+    try:
+        k = lat.arrow_index(f)
+    except UnknownLabel as err:
+        raise NotShort(f"{err}, so not a cover") from None
+    if not _tables(lat).cover_mask >> k & 1:
+        raise NotShort(f"{lat.arrow_name(lat.arrows[k])} is not a cover")
     if model.weq.mask >> k & 1:
         return model.weq
     return _localize_weq(model, lat.arrows[k], side="right")
@@ -228,15 +232,18 @@ def _check_kept(
 
 
 def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
+    # AF' is looked up in the model table of W' by its mask; a miss is
+    # derived with the check on, which raises the error that pair gives.
     lat = model.lattice
-    k = lat.arrow_position[tuple(f)]
+    k = lat.arrow_index(f)
     if model.weq.mask >> k & 1:
         return model
     f = lat.arrows[k]
     new_weq = _localize_weq(model, f, side)
-    localized = derive_classes(
-        new_weq, ArrowSet(lat, _kept_af(model, new_weq.mask, side))
-    )
+    af = _kept_af(model, new_weq.mask, side)
+    localized = _model_table(new_weq).get(af)
+    if localized is None:
+        localized = derive_classes(new_weq, ArrowSet(lat, af))
     _check_kept(model, localized, f, side)
     return localized
 

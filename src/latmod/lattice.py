@@ -91,15 +91,29 @@ class FiniteLattice:
         """Resolve a label pair to an Arrow, checking comparability."""
         s = self.index_of(source_label)
         t = self.index_of(target_label)
-        if s == t:
-            raise UnknownLabel(
-                f"identity {source_label!r} -> {target_label!r} is not an arrow"
-            )
-        if not self.le(s, t):
-            raise UnknownLabel(
-                f"{source_label!r} -> {target_label!r} is not a relation"
-            )
+        self._check_relation(s, t)
         return Arrow(s, t)
+
+    def arrow_index(self, f: tuple[int, int]) -> int:
+        """Position of f = (source, target) in `arrows`.
+
+        Raises UnknownLabel, worded like `arrow`, when f names no arrow.
+        """
+        k = self.arrow_position.get(tuple(f))
+        if k is None:
+            s, t = f
+            for x in (s, t):
+                if not (isinstance(x, int) and 0 <= x < self.n):
+                    raise UnknownLabel(f"no element with index {x!r}")
+            self._check_relation(s, t)
+        return k
+
+    def _check_relation(self, s: int, t: int) -> None:
+        a, b = self.labels[s], self.labels[t]
+        if s == t:
+            raise UnknownLabel(f"identity {a!r} -> {b!r} is not an arrow")
+        if not self.le(s, t):
+            raise UnknownLabel(f"{a!r} -> {b!r} is not a relation")
 
     def arrow_name(self, f: Arrow) -> str:
         return f"{self.labels[f.source]}->{self.labels[f.target]}"

@@ -5,6 +5,11 @@ fibrations AF; the remaining classes are forced by lifting.  W must be a
 wide decomposable subcategory whose members admit a short factorization
 with all pushouts weakly equivalent below a pivot and all pullbacks above
 it, and AF ranges over an interval of transfer systems inside W.
+
+So the model structures over one W form a finite table, derived once per
+lattice and W: it maps each AF mask of the interval to its structure.
+The enumeration concatenates these tables, and derive_classes with its
+check on is a lookup that returns the enumerated structure.
 """
 from __future__ import annotations
 
@@ -139,22 +144,25 @@ def t_min(weq: ArrowSet) -> ArrowSet:
 
 
 def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
-    """Transfer systems T with t_min <= T <= t_max, in catalog order."""
-    return _cached(weq.lattice, ("af_interval", weq.mask), _af_interval, weq)
+    """Transfer systems T with t_min <= T <= t_max, in catalog order.
+
+    They are the acyclic fibrations of W's model table, built on first use.
+    """
+    return tuple(model.acyclic_fib for model in _model_table(weq).values())
 
 
-def _af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
+def _af_interval(weq: ArrowSet) -> list[ArrowSet]:
     if not is_weak_equivalence_set(weq):
         raise NotAWeakEquivalenceSet(
             f"{weq.signature()} is not a weak equivalence set"
         )
     lo = t_min(weq).mask
     outside = ~t_max(weq).mask
-    return tuple(
+    return [
         system
         for system in transfer_catalog(weq.lattice)
         if not lo & ~system.mask and not system.mask & outside
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +195,29 @@ def derive_classes(
 ) -> ModelStructure:
     """Complete (W, AF) to a full model structure by lifting.
 
-    With check enabled, raises NotAdmissible unless AF is one of the
-    systems of af_interval(W), which also validates W itself.
+    With check enabled this looks AF up in W's model table and returns
+    the structure enumerate_model_structures holds.  It raises
+    NotAdmissible unless AF is one of the systems of af_interval(W), and
+    NotAWeakEquivalenceSet unless W is a weak equivalence set.  With check
+    disabled it derives a fresh structure from any pair.
     """
-    lat = weq.lattice
     af = weq._compatible(acyclic_fib)
-    if check and af not in _interval_masks(weq):
+    if not check:
+        return _derive(weq, acyclic_fib)
+    model = _model_table(weq).get(af)
+    if model is None:
         raise NotAdmissible(
             f"AF={acyclic_fib.signature()} is outside the admissible "
             f"interval of W={weq.signature()}"
         )
+    return model
+
+
+def _derive(weq: ArrowSet, acyclic_fib: ArrowSet) -> ModelStructure:
+    # C = llp(AF), AC = C & W, F = rlp(AC).
+    lat = weq.lattice
     t = _tables(lat)
-    cof = _llp(t, af)
+    cof = _llp(t, acyclic_fib.mask)
     ac = cof & weq.mask
     fib = _rlp(t, ac)
     return ModelStructure(
@@ -211,14 +230,14 @@ def derive_classes(
     )
 
 
-def _interval_masks(weq: ArrowSet) -> frozenset[int]:
-    # The masks of af_interval(weq), kept for membership tests.
-    key = ("af_interval_masks", weq.mask)
-    return _cached(weq.lattice, key, _mask_set, weq)
+def _model_table(weq: ArrowSet) -> dict[int, ModelStructure]:
+    # The structures over weq keyed by AF mask, in catalog order; a W that
+    # is not a weak equivalence set raises and leaves no table behind.
+    return _cached(weq.lattice, ("model_table", weq.mask), _derive_table, weq)
 
 
-def _mask_set(weq: ArrowSet) -> frozenset[int]:
-    return frozenset(system.mask for system in af_interval(weq))
+def _derive_table(weq: ArrowSet) -> dict[int, ModelStructure]:
+    return {af.mask: _derive(weq, af) for af in _af_interval(weq)}
 
 
 def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
@@ -227,11 +246,11 @@ def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]
 
 
 def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
-    out: list[ModelStructure] = []
-    for weq in enumerate_weak_equivalence_sets(lat):
-        for system in af_interval(weq):
-            out.append(derive_classes(weq, system, check=False))
-    return tuple(out)
+    return tuple(
+        model
+        for weq in enumerate_weak_equivalence_sets(lat)
+        for model in _model_table(weq).values()
+    )
 
 
 def verify_model_axioms(model: ModelStructure) -> bool:
@@ -242,6 +261,22 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     identities tying the five classes together, and the factorization of
     every arrow through (cofibration, acyclic fibration) and through
     (acyclic cofibration, fibration).
+
+    Four checks follow from the others, so no structure fails one of them
+    alone; they stay as cheap guards.  In a poset, lifting g = p c
+    against its leg p, or the leg c against g, makes that leg an identity:
+      - llp(AF) = C: C <= llp(rlp(C)) = llp(AF); g in llp(AF) factors as
+        p c with c in C, p in AF, and lifting g against p gives g = c.
+      - rlp(AC) = F: dually, from llp(F) = AC and the (AC, F) factorization.
+      - AF = F & W: AF = rlp(C) <= rlp(AC) = F and AF <= W; f in F & W
+        factors as p c with c in C, p in AF, two-out-of-three puts c in
+        AC = C & W, and lifting c against f gives f = p.
+      - the (C, AF) factorization: AF = rlp(C) is closed under composition
+        and pullback, so for f: x -> y the z with x <= z <= y and z -> y in
+        AF or identity are closed under meets.  The least, z, gives f as
+        x -> z then z -> y, and x -> z is in llp(AF) = C: for a -> b in AF
+        with x <= a and z <= b, the pullback a & z -> z is in AF, so is
+        a & z -> y, and z <= a & z <= a by the choice of z.
     """
     t = _tables(model.lattice)
     weq, af = model.weq.mask, model.acyclic_fib.mask

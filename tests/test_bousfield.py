@@ -9,6 +9,7 @@ from latmod import (
     NotAdmissible,
     NotAWeakEquivalenceSet,
     NotShort,
+    UnknownLabel,
     af_interval,
     chain,
     derive_classes,
@@ -221,6 +222,72 @@ def test_golden_arrows_generate_the_right_localized_acyclic_fibrations(corpus):
 def test_golden_arrows_require_a_cover(pentagon, pentagon_model):
     with pytest.raises(NotShort):
         golden_arrows(pentagon_model, pentagon.arrow("0", "1"))
+
+
+NOT_AN_ARROW = {
+    (1, 0): "'A' -> '0' is not a relation",
+    (2, 2): "identity 'B' -> 'B' is not an arrow",
+    (0, 99): "no element with index 99",
+}
+
+
+@pytest.mark.parametrize("pair", list(NOT_AN_ARROW))
+@pytest.mark.parametrize(
+    "call, error, suffix",
+    [
+        (right_localize, UnknownLabel, ""),
+        (left_localize, UnknownLabel, ""),
+        (golden_arrows, NotShort, ", so not a cover"),
+    ],
+    ids=["right", "left", "golden"],
+)
+def test_a_pair_that_names_no_arrow_raises_a_typed_error(
+    pentagon, pentagon_model, call, error, suffix, pair
+):
+    with pytest.raises(error) as err:
+        call(pentagon_model, pair)
+    assert str(err.value) == NOT_AN_ARROW[pair] + suffix
+
+
+def test_not_an_arrow_is_worded_like_the_label_lookup(pentagon):
+    for (s, t), message in NOT_AN_ARROW.items():
+        if t < pentagon.n:
+            with pytest.raises(UnknownLabel) as err:
+                pentagon.arrow(pentagon.label(s), pentagon.label(t))
+            assert str(err.value) == message
+
+
+def test_localizations_return_enumerated_structures(corpus):
+    for lat in (*corpus.values(), cube()):
+        models = enumerate_model_structures(lat)
+        enumerated = {id(m) for m in models}
+        for model in models:
+            for f in lat.arrows:
+                if f in model.weq:
+                    continue
+                for localize in (left_localize, right_localize):
+                    assert id(localize(model, f)) in enumerated
+
+
+@pytest.mark.parametrize(
+    "arrows, error",
+    [([("0", "1")], NotAWeakEquivalenceSet), ([("0", "B")], NotAdmissible)],
+    ids=["not-a-weq-set", "not-admissible"],
+)
+def test_localize_raises_the_derivation_error_off_the_table(
+    monkeypatch, pentagon, arrows, error
+):
+    # A fixpoint result whose table lacks (W', AF') is derived with the
+    # check on; left localization of the trivial model keeps AF = {}.
+    bad = ArrowSet.from_labels(pentagon, arrows)
+    monkeypatch.setattr(bousfield, "_localize_weq", lambda model, f, side: bad)
+    trivial = enumerate_model_structures(pentagon)[0]
+    assert trivial.key() == (0, 0)
+    with pytest.raises(error) as want:
+        derive_classes(bad, ArrowSet.empty(pentagon), check=True)
+    with pytest.raises(error) as got:
+        left_localize(trivial, pentagon.arrow("0", "A"))
+    assert str(got.value) == str(want.value)
 
 
 def test_localizing_at_a_weak_equivalence_changes_nothing(

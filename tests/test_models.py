@@ -5,6 +5,7 @@ import pytest
 
 from latmod import (
     ArrowSet,
+    ModelStructure,
     NotAWeakEquivalenceSet,
     NotAdmissible,
     af_interval,
@@ -20,16 +21,42 @@ from latmod import (
     is_weak_equivalence_set,
     is_wide_decomposable,
     k_max,
+    n5,
     product,
     t_max,
     t_min,
     transfer_catalog,
     verify_model_axioms,
 )
-from latmod.arrows import lex_key
+from latmod.arrows import (
+    _composites,
+    _llp,
+    _rlp,
+    _tables,
+    _two_of_three_pass,
+    _union_bytes,
+    lex_key,
+)
 
 from conftest import lattice_as_sets
 from oracles import naive_is_weak_equivalence_set
+
+
+def cube():
+    return product(product(chain(1), chain(1)), chain(1))
+
+
+def fresh_corpus():
+    """The corpus lattices and the cube, built anew so their caches are empty."""
+    return (
+        n5(),
+        product(chain(1), chain(1)),
+        product(chain(2), chain(1)),
+        chain(1),
+        chain(2),
+        chain(3),
+        cube(),
+    )
 
 
 def agrees_with_chain_walk(lat, candidates):
@@ -272,6 +299,191 @@ def test_derive_check_refuses_a_non_transfer_set_inside_the_bounds(pentagon):
     assert lo <= gap <= hi and not is_transfer_system(gap)
     with pytest.raises(NotAdmissible):
         derive_classes(w, gap)
+
+
+def test_derive_check_returns_the_enumerated_structure(corpus):
+    for lat in (*corpus.values(), cube()):
+        for m in enumerate_model_structures(lat):
+            assert derive_classes(m.weq, m.acyclic_fib) is m
+            weq = ArrowSet(lat, m.weq.mask)
+            af = ArrowSet(lat, m.acyclic_fib.mask)
+            assert derive_classes(weq, af) is m
+
+
+def per_w_keys(lat):
+    # The per-W entries of the lattice cache: tuple keys (kind, W mask).
+    return {key for key in lat._cache if isinstance(key, tuple)}
+
+
+def test_enumeration_keeps_one_model_table_per_weq_set():
+    for lat in fresh_corpus():
+        models = enumerate_model_structures(lat)
+        weqs = enumerate_weak_equivalence_sets(lat)
+        assert per_w_keys(lat) == {("model_table", w.mask) for w in weqs}
+        tables = [lat._cache["model_table", w.mask] for w in weqs]
+        for w, table in zip(weqs, tables):
+            assert list(table) == [t.mask for t in af_interval(w)]
+        assert models == tuple(m for table in tables for m in table.values())
+
+
+def test_a_non_weq_set_leaves_no_model_table():
+    for lat in fresh_corpus():
+        catalog = transfer_catalog(lat)
+        weq_masks = {w.mask for w in enumerate_weak_equivalence_sets(lat)}
+        bad = [
+            mask
+            for mask in range(min(1 << len(lat.arrows), 256))
+            if mask not in weq_masks
+        ]
+        for mask in bad:
+            with pytest.raises(NotAWeakEquivalenceSet):
+                derive_classes(ArrowSet(lat, mask), catalog[0])
+            with pytest.raises(NotAWeakEquivalenceSet):
+                af_interval(ArrowSet(lat, mask))
+        assert not per_w_keys(lat)
+
+
+def _n5_mask(pairs):
+    return ArrowSet.from_labels(n5(), pairs).mask
+
+
+# (lattice, W mask, AF mask, error, message): the strings the derivation
+# gave before it became a table lookup.
+BAD_PAIRS = [
+    (
+        n5,
+        _n5_mask([("0", "A"), ("0", "B"), ("0", "C"), ("A", "C")]),
+        0,
+        NotAdmissible,
+        "AF={} is outside the admissible interval of W={0->A, 0->B, 0->C, A->C}",
+    ),
+    (
+        n5,
+        _n5_mask([("0", "A"), ("0", "B"), ("0", "C"), ("A", "C")]),
+        _n5_mask([("0", "B")]),
+        NotAdmissible,
+        "AF={0->B} is outside the admissible interval of "
+        "W={0->A, 0->B, 0->C, A->C}",
+    ),
+    (
+        n5,
+        255,
+        _n5_mask([("0", "A"), ("A", "C")]),
+        NotAdmissible,
+        "AF={0->A, A->C} is outside the admissible interval of "
+        "W={0->A, 0->B, 0->C, 0->1, A->C, A->1, B->1, C->1}",
+    ),
+    (
+        n5,
+        0,
+        _n5_mask([("0", "B")]),
+        NotAdmissible,
+        "AF={0->B} is outside the admissible interval of W={}",
+    ),
+    (
+        n5,
+        _n5_mask([("0", "1")]),
+        0,
+        NotAWeakEquivalenceSet,
+        "{0->1} is not a weak equivalence set",
+    ),
+    (
+        lambda: product(chain(1), chain(1)),
+        10,
+        1,
+        NotAdmissible,
+        "AF={(0,0)->(0,1)} is outside the admissible interval of "
+        "W={(0,0)->(1,0), (0,1)->(1,1)}",
+    ),
+    (
+        lambda: product(chain(1), chain(1)),
+        4,
+        0,
+        NotAWeakEquivalenceSet,
+        "{(0,0)->(1,1)} is not a weak equivalence set",
+    ),
+    (
+        cube,
+        34858,
+        0,
+        NotAdmissible,
+        "AF={} is outside the admissible interval of W={((0,0),0)->((0,1),0), "
+        "((0,0),0)->((1,0),0), ((0,0),0)->((1,1),0), ((0,1),0)->((1,1),0), "
+        "((1,0),0)->((1,1),0)}",
+    ),
+    (
+        cube,
+        4,
+        0,
+        NotAWeakEquivalenceSet,
+        "{((0,0),0)->((0,1),1)} is not a weak equivalence set",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, weq, af, error, message", BAD_PAIRS)
+def test_derive_check_messages_are_unchanged(build, weq, af, error, message):
+    lat = build()
+    for _ in range(2):  # the second call may find a cached table
+        with pytest.raises(error) as err:
+            derive_classes(ArrowSet(lat, weq), ArrowSet(lat, af))
+        assert str(err.value) == message
+
+
+# The checks of verify_model_axioms, by name, on raw masks.
+def axiom_failures(t, weq, af, cof, ac, fib):
+    checks = {
+        "2oo3(W)": _two_of_three_pass(t, weq) == weq,
+        "retracts": all(
+            not _union_bytes(t.retracts_bytes, cls) & ~cls
+            for cls in (weq, cof, fib)
+        ),
+        "llp(AF) = C": _llp(t, af) == cof,
+        "rlp(C) = AF": _rlp(t, cof) == af,
+        "llp(F) = AC": _llp(t, fib) == ac,
+        "rlp(AC) = F": _rlp(t, ac) == fib,
+        "AF <= W": not af & ~weq,
+        "AC = C & W": ac == cof & weq,
+        "AF = F & W": af == fib & weq,
+        "(C, AF) factors": _composites(t, af, cof) == t.full,
+        "(AC, F) factors": _composites(t, fib, ac) == t.full,
+    }
+    return {name for name, ok in checks.items() if not ok}
+
+
+IMPLIED = {"rlp(AC) = F", "llp(AF) = C", "AF = F & W", "(C, AF) factors"}
+
+
+def test_the_implied_axiom_checks_never_fail_alone():
+    # The verify_model_axioms docstring proves that each IMPLIED check
+    # follows from the others, so no hand-built structure fails one of
+    # them alone.  Searched here over every W closed under
+    # two-out-of-three and retracts and every retract-closed C and F with
+    # AF = rlp(C) and AC = llp(F) (both kept by all four removals), where
+    # C is llp-closed or F rlp-closed (otherwise two IMPLIED checks fail).
+    for lat in (chain(3), product(chain(1), chain(1))):
+        t = _tables(lat)
+        every = range(1 << len(lat.arrows))
+        closed = [x for x in every if not _union_bytes(t.retracts_bytes, x) & ~x]
+        weqs = [w for w in closed if _two_of_three_pass(t, w) == w]
+        llp_closed = {_llp(t, x) for x in every}
+        rlp_closed = {_rlp(t, x) for x in every}
+        seen = 0
+        for cof in closed:
+            af = _rlp(t, cof)
+            for fib in closed:
+                if cof not in llp_closed and fib not in rlp_closed:
+                    continue
+                ac = _llp(t, fib)
+                for weq in weqs:
+                    failed = axiom_failures(t, weq, af, cof, ac, fib)
+                    assert not (len(failed) == 1 and failed <= IMPLIED)
+                    model = ModelStructure(
+                        lat, *(ArrowSet(lat, x) for x in (weq, af, cof, ac, fib))
+                    )
+                    assert verify_model_axioms(model) == (not failed)
+                    seen += not failed
+        assert seen == len(enumerate_model_structures(lat))
 
 
 def test_axioms_hold_for_every_enumerated_model(pentagon, square):
