@@ -360,18 +360,20 @@ def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
     legs force the composite, and a composite forces both of its legs.
     """
     t = _tables(aset.lattice)
+    return ArrowSet(aset.lattice, _wide_decomposable_closure(t, aset.mask))
 
-    def step(mask: int) -> int:
+
+def _wide_decomposable_closure(t: _Tables, mask: int) -> int:
+    # A pass only adds arrows, so this stops within m + 1 passes.
+    done = -1
+    while mask != done:
+        done = mask
         for first, second, composite in t.triples:
             if mask & composite:
                 mask |= first | second
             elif mask & first and mask & second:
                 mask |= composite
-        return mask
-
-    return ArrowSet(
-        aset.lattice, _fixpoint(aset, step, "wide decomposable closure")
-    )
+    return mask
 
 
 def close_retracts(aset: ArrowSet) -> ArrowSet:
@@ -413,12 +415,7 @@ def _composites(t: _Tables, high: int, low: int) -> int:
 
 
 def is_composition_closed(aset: ArrowSet) -> bool:
-    t = _tables(aset.lattice)
-    mask = aset.mask
-    for first, second, composite in t.triples:
-        if mask & first and mask & second and not mask & composite:
-            return False
-    return True
+    return _compose_closed(_tables(aset.lattice), aset.mask) == aset.mask
 
 
 def is_wide_decomposable(aset: ArrowSet) -> bool:
@@ -433,16 +430,12 @@ def is_wide_decomposable(aset: ArrowSet) -> bool:
 
 def is_transfer_system(aset: ArrowSet) -> bool:
     """Closed under nontrivial pullbacks and under composition."""
-    t = _tables(aset.lattice)
-    pulled = _union_bytes(t.pull_bytes, aset.mask)
-    return not pulled & ~aset.mask and is_composition_closed(aset)
+    return _transfer_closure(_tables(aset.lattice), aset.mask) == aset.mask
 
 
 def is_cotransfer_system(aset: ArrowSet) -> bool:
     """Closed under nontrivial pushouts and under composition."""
-    t = _tables(aset.lattice)
-    pushed = _union_bytes(t.push_bytes, aset.mask)
-    return not pushed & ~aset.mask and is_composition_closed(aset)
+    return _cotransfer_closure(_tables(aset.lattice), aset.mask) == aset.mask
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +449,22 @@ def generate_transfer(aset: ArrowSet) -> ArrowSet:
     already pullback closed, which the test suite checks against the
     intersection of all containing systems.
     """
-    return close_composition(close_pullback(aset))
+    t = _tables(aset.lattice)
+    return ArrowSet(aset.lattice, _transfer_closure(t, aset.mask))
 
 
 def generate_cotransfer(aset: ArrowSet) -> ArrowSet:
     """Smallest cotransfer system containing the given arrows."""
-    return close_composition(close_pushout(aset))
+    t = _tables(aset.lattice)
+    return ArrowSet(aset.lattice, _cotransfer_closure(t, aset.mask))
+
+
+def _transfer_closure(t: _Tables, mask: int) -> int:
+    return _compose_closed(t, mask | _union_bytes(t.pull_bytes, mask))
+
+
+def _cotransfer_closure(t: _Tables, mask: int) -> int:
+    return _compose_closed(t, mask | _union_bytes(t.push_bytes, mask))
 
 
 def llp_dual(aset: ArrowSet) -> ArrowSet:

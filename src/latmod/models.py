@@ -4,7 +4,10 @@ A model structure is determined by its weak equivalences W and acyclic
 fibrations AF; the remaining classes are forced by lifting.  W must be a
 wide decomposable subcategory whose members admit a short factorization
 with all pushouts weakly equivalent below a pivot and all pullbacks above
-it, and AF ranges over an interval of transfer systems inside W.
+it, and AF ranges over the transfer systems from t_min(W) to t_max(W).
+No catalog is needed: t_max(W) is the f in W with pull(f) inside W, as
+f generates {f} | pull(f) and every transfer system is the union of the
+systems its members generate (proof at t_max); k_max(W) is dual.
 
 So the model structures over one W form a finite table, derived once per
 lattice and W: it maps each AF mask of the interval to its structure.
@@ -14,29 +17,29 @@ check on is a lookup that returns the enumerated structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .arrows import (
     ArrowSet,
-    close_wide_decomposable,
-    is_composition_closed,
     is_cotransfer_system,
     is_transfer_system,
-    is_wide_decomposable,
     rlp_dual,
     _composites,
     _llp,
     _rlp,
     _tables,
+    _transfer_closure,
     _two_of_three_pass,
     _union_bytes,
+    _wide_decomposable_closure,
 )
 from .errors import (
     MaximalityViolation,
     NotAdmissible,
     NotAWeakEquivalenceSet,
 )
-from .lattice import FiniteLattice, _cached
-from .transfers import closed_sets, cotransfer_systems, transfer_catalog
+from .lattice import FiniteLattice, _bits, _cached
+from .transfers import closed_sets
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +54,10 @@ def is_weak_equivalence_set(weq: ArrowSet) -> bool:
     pivot: pushouts of the covers below it and pullbacks of the covers
     above it all stay inside the set.
     """
-    if not is_composition_closed(weq):
-        return False
-    if not is_wide_decomposable(weq):
-        return False
     lat = weq.lattice
     t = _tables(lat)
+    if _wide_decomposable_closure(t, weq.mask) != weq.mask:
+        return False
     pos = lat.arrow_position
     outside = ~weq.mask
     # Element masks: reach[x] holds the y reached from x along covers whose
@@ -85,10 +86,9 @@ def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
 
 
 def _weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
+    close = partial(_wide_decomposable_closure, _tables(lat))
     return tuple(
-        weq
-        for weq in closed_sets(lat, close_wide_decomposable)
-        if is_weak_equivalence_set(weq)
+        weq for weq in closed_sets(lat, close) if is_weak_equivalence_set(weq)
     )
 
 
@@ -99,48 +99,50 @@ def _weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
 def t_max(weq: ArrowSet) -> ArrowSet:
     """Largest transfer system inside the weak equivalences.
 
-    Computed as the union of all catalog systems contained in weq and
-    verified closed; failure of closure would contradict maximality.
+    The union of all transfer systems inside weq, verified closed (failure
+    would contradict maximality): the f in weq whose pull row lies inside
+    weq.  For f: x -> y generates {f} | pull(f), as pullbacks x & z -> z and
+    x & z' -> z' compose only if z <= x, when the first is an identity, and
+    every transfer system is the union of the systems its members generate.
     """
-    union = _union_inside(transfer_catalog(weq.lattice), weq)
-    if not is_transfer_system(union):
-        raise MaximalityViolation(
-            "union of transfer systems inside the weak equivalences "
-            "is not itself a transfer system"
-        )
-    return union
+    return _largest_inside(
+        weq, _tables(weq.lattice).pull, is_transfer_system, "transfer"
+    )
 
 
 def k_max(weq: ArrowSet) -> ArrowSet:
     """Largest cotransfer system inside the weak equivalences."""
-    union = _union_inside(cotransfer_systems(weq.lattice), weq)
-    if not is_cotransfer_system(union):
+    return _largest_inside(
+        weq, _tables(weq.lattice).push, is_cotransfer_system, "cotransfer"
+    )
+
+
+def _largest_inside(weq: ArrowSet, rows, is_system, kind: str) -> ArrowSet:
+    outside = ~weq.mask
+    inside = sum(1 << i for i in _bits(weq.mask) if not rows[i] & outside)
+    union = ArrowSet(weq.lattice, inside)
+    if not is_system(union):
         raise MaximalityViolation(
-            "union of cotransfer systems inside the weak equivalences "
-            "is not itself a cotransfer system"
+            f"union of {kind} systems inside the weak equivalences "
+            f"is not itself a {kind} system"
         )
     return union
 
 
-def _union_inside(systems, weq: ArrowSet) -> ArrowSet:
-    # Union of the systems contained in weq, compared as raw masks.
-    outside = ~weq.mask
-    union = 0
-    for system in systems:
-        if not system.mask & outside:
-            union |= system.mask
-    return ArrowSet(weq.lattice, union)
-
-
 def t_min(weq: ArrowSet) -> ArrowSet:
     """Smallest admissible acyclic fibration class for these weak equivalences."""
+    return _bounds(weq)[0]
+
+
+def _bounds(weq: ArrowSet) -> tuple[ArrowSet, ArrowSet]:
     low = rlp_dual(k_max(weq)) & weq
-    if not (is_transfer_system(low) and low <= t_max(weq)):
+    high = t_max(weq)
+    if not (is_transfer_system(low) and low <= high):
         raise MaximalityViolation(
             f"lower end {low.signature()} of the interval of "
             f"W={weq.signature()} is not a transfer system inside t_max"
         )
-    return low
+    return low, high
 
 
 def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
@@ -149,20 +151,6 @@ def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
     They are the acyclic fibrations of W's model table, built on first use.
     """
     return tuple(model.acyclic_fib for model in _model_table(weq).values())
-
-
-def _af_interval(weq: ArrowSet) -> list[ArrowSet]:
-    if not is_weak_equivalence_set(weq):
-        raise NotAWeakEquivalenceSet(
-            f"{weq.signature()} is not a weak equivalence set"
-        )
-    lo = t_min(weq).mask
-    outside = ~t_max(weq).mask
-    return [
-        system
-        for system in transfer_catalog(weq.lattice)
-        if not lo & ~system.mask and not system.mask & outside
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +225,14 @@ def _model_table(weq: ArrowSet) -> dict[int, ModelStructure]:
 
 
 def _derive_table(weq: ArrowSet) -> dict[int, ModelStructure]:
-    return {af.mask: _derive(weq, af) for af in _af_interval(weq)}
+    if not is_weak_equivalence_set(weq):
+        raise NotAWeakEquivalenceSet(
+            f"{weq.signature()} is not a weak equivalence set"
+        )
+    low, high = _bounds(weq)
+    close = partial(_transfer_closure, _tables(weq.lattice))
+    interval = closed_sets(weq.lattice, close, low.mask, high.mask)
+    return {af.mask: _derive(weq, af) for af in interval}
 
 
 def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:

@@ -3,15 +3,17 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator
 
 from .arrows import (
     ArrowSet,
     close_two_out_of_three,
-    generate_cotransfer,
     generate_transfer,
     is_transfer_system,
+    _cotransfer_closure,
+    _tables,
+    _transfer_closure,
 )
 from .errors import NotALattice, NotATransferSystem
 from .lattice import Arrow, FiniteLattice, _cached, build_lattice, hasse_covers
@@ -55,9 +57,9 @@ class TransferCatalog:
 
 
 def closed_sets(
-    lat: FiniteLattice, close: Callable[[ArrowSet], ArrowSet]
+    lat: FiniteLattice, close: Callable[[int], int], lo: int = 0, hi: int = -1
 ) -> tuple[ArrowSet, ...]:
-    """Every fixed point of a closure operator on the lattice's arrow sets.
+    """Every fixed point of a closure on arrow masks, between lo and hi.
 
     The search decides one arrow at a time, in canonical order.  Including
     an arrow immediately forces the closure of the set so far; a branch
@@ -65,34 +67,36 @@ def closed_sets(
     is produced exactly once, because the first arrow on which two closed
     sets differ was decided by distinct branches.  Every arrow before the
     current one is already decided and the exclusion branch is walked
-    first, so the output comes out in canonical (lex_key) order.
+    first, so the output comes out in canonical (lex_key) order.  It starts
+    from close(lo), with every arrow outside hi excluded.
     """
     m = len(lat.arrows)
     out: list[ArrowSet] = []
 
     def walk(i: int, included: int, excluded: int) -> None:
+        if included & excluded:
+            return
         while i < m and (included >> i & 1 or excluded >> i & 1):
             i += 1
         if i == m:
             out.append(ArrowSet(lat, included))
             return
         walk(i + 1, included, excluded | 1 << i)
-        grown = close(ArrowSet(lat, included | 1 << i)).mask
-        if not grown & excluded:
-            walk(i + 1, grown, excluded)
+        walk(i + 1, close(included | 1 << i), excluded)
 
-    walk(0, close(ArrowSet.empty(lat)).mask, 0)
+    walk(0, close(lo), ~hi)
     return tuple(out)
 
 
 def enumerate_transfer_systems(lat: FiniteLattice) -> TransferCatalog:
     """Enumerate every transfer system on the lattice."""
-    return TransferCatalog(lat, closed_sets(lat, generate_transfer))
+    t = _tables(lat)
+    return TransferCatalog(lat, closed_sets(lat, partial(_transfer_closure, t)))
 
 
 def enumerate_cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     """Every cotransfer system, in the same canonical order."""
-    return closed_sets(lat, generate_cotransfer)
+    return closed_sets(lat, partial(_cotransfer_closure, _tables(lat)))
 
 
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
@@ -168,17 +172,14 @@ def singly_generated_transfers(
 ) -> tuple[tuple[Arrow, ArrowSet], ...]:
     """Distinct transfer systems generated by one arrow each.
 
-    Returns (generator, system) pairs in canonical arrow order, keeping
-    the first generator of each distinct system.
+    Arrow f generates {f} | pull(f) (see models.t_max).  Returns pairs
+    (generator, system) in canonical arrow order, first generator kept.
     """
-    seen: set[int] = set()
-    out: list[tuple[Arrow, ArrowSet]] = []
-    for f in lat.arrows:
-        system = generate_transfer(ArrowSet.of(lat, [f]))
-        if system.mask not in seen:
-            seen.add(system.mask)
-            out.append((f, system))
-    return tuple(out)
+    t = _tables(lat)
+    systems: dict[int, Arrow] = {}
+    for i, f in enumerate(lat.arrows):
+        systems.setdefault(1 << i | t.pull[i], f)
+    return tuple((f, ArrowSet(lat, mask)) for mask, f in systems.items())
 
 
 def is_saturated(system: ArrowSet) -> bool:

@@ -295,6 +295,25 @@ def naive_is_weak_equivalence_set(
 
 
 # ---------------------------------------------------------------------------
+# interval oracles: scans of the library's transfer and cotransfer catalogs,
+# as masks
+
+
+def union_inside(systems: list[int], weq: int) -> int:
+    """Union of the systems contained in weq: t_max or k_max by definition."""
+    union = 0
+    for system in systems:
+        if not system & ~weq:
+            union |= system
+    return union
+
+
+def systems_between(systems: list[int], lo: int, hi: int) -> list[int]:
+    """The systems T with lo <= T <= hi, in the catalog's order."""
+    return [s for s in systems if not lo & ~s and not s & ~hi]
+
+
+# ---------------------------------------------------------------------------
 # localization oracles
 
 

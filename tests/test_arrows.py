@@ -13,6 +13,7 @@ from latmod import (
     close_two_out_of_three,
     close_wide_decomposable,
     compose_sets,
+    generate_cotransfer,
     generate_transfer,
     is_composition_closed,
     is_cotransfer_system,
@@ -286,6 +287,23 @@ def test_generate_transfer_matches_intersection_oracle(pentagon):
         expected = generated_transfer_by_intersection(catalog, pairs_of(aset))
         assert expected is not None
         assert pairs_of(generate_transfer(aset)) == expected
+
+
+def test_one_arrow_generates_itself_and_its_pullbacks(corpus):
+    # Two nontrivial pullbacks (pushouts) of f never compose, so one pass
+    # of pullbacks (pushouts) is the whole system f generates.
+    cube = product(product(chain(1), chain(1)), chain(1))
+    for lat in (*corpus.values(), cube):
+        n, leq, _, meets, joins = lattice_as_sets(lat)
+        for f in lat.arrows:
+            x, y = f
+            below = [z for z in range(n) if (z, y) in leq]
+            above = [z for z in range(n) if (x, z) in leq]
+            pulls = {(meets[x][z], z) for z in below if meets[x][z] != z}
+            pushes = {(z, joins[z][y]) for z in above if joins[z][y] != z}
+            one = ArrowSet.of(lat, [f])
+            assert pairs_of(generate_transfer(one)) == {(x, y)} | pulls
+            assert pairs_of(generate_cotransfer(one)) == {(x, y)} | pushes
 
 
 def test_closure_idempotence_and_extensiveness(pentagon, grid21):

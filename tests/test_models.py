@@ -5,6 +5,7 @@ import pytest
 
 from latmod import (
     ArrowSet,
+    MaximalityViolation,
     ModelStructure,
     NotAWeakEquivalenceSet,
     NotAdmissible,
@@ -13,6 +14,7 @@ from latmod import (
     close_two_out_of_three,
     close_wide_decomposable,
     closed_sets,
+    cotransfer_systems,
     derive_classes,
     enumerate_model_structures,
     enumerate_weak_equivalence_sets,
@@ -21,6 +23,7 @@ from latmod import (
     is_weak_equivalence_set,
     is_wide_decomposable,
     k_max,
+    localization_graph,
     n5,
     product,
     t_max,
@@ -39,7 +42,14 @@ from latmod.arrows import (
 )
 
 from conftest import lattice_as_sets
-from oracles import naive_is_weak_equivalence_set
+from oracles import (
+    compose_close,
+    is_transfer_naive,
+    naive_is_weak_equivalence_set,
+    pushout_close,
+    systems_between,
+    union_inside,
+)
 
 
 def cube():
@@ -119,7 +129,9 @@ def test_criterion_matches_the_chain_walk_on_every_subset(corpus):
 )
 def test_criterion_matches_the_chain_walk_on_candidates(build, rejected):
     lat = build()
-    candidates = closed_sets(lat, close_wide_decomposable)
+    candidates = closed_sets(
+        lat, lambda mask: close_wide_decomposable(ArrowSet(lat, mask)).mask
+    )
     assert agrees_with_chain_walk(lat, candidates) == rejected
 
 
@@ -183,6 +195,76 @@ def test_interval_membership(pentagon):
         lo, hi = t_min(w), t_max(w)
         expected = [t for t in catalog if lo <= t and t <= hi]
         assert [t.mask for t in interval] == [t.mask for t in expected]
+
+
+def test_bounds_and_interval_match_the_catalog_scan(corpus):
+    more = (
+        cube(),
+        product(chain(3), chain(1)),
+        product(chain(2), chain(2)),
+        chain(7),
+    )
+    for lat in (*corpus.values(), *more):
+        t = _tables(lat)
+        transfers = [s.mask for s in transfer_catalog(lat)]
+        cotransfers = [s.mask for s in cotransfer_systems(lat)]
+        for w in enumerate_weak_equivalence_sets(lat):
+            high = union_inside(transfers, w.mask)
+            cohigh = union_inside(cotransfers, w.mask)
+            low = _rlp(t, cohigh) & w.mask
+            assert t_max(w).mask == high
+            assert k_max(w).mask == cohigh
+            assert t_min(w).mask == low
+            interval = [s.mask for s in af_interval(w)]
+            assert interval == systems_between(transfers, low, high)
+
+
+def test_bounds_match_the_catalog_scan_on_every_arrow_set(corpus):
+    # The pull (push) row formula holds for any W, not only weq sets;
+    # where the union of the systems inside W is not itself one, both
+    # bounds refuse it.
+    raised = {t_max: 0, k_max: 0}
+    for lat in corpus.values():
+        m = len(lat.arrows)
+        if m > 8:
+            continue
+        n, leq, _, meets, joins = lattice_as_sets(lat)
+
+        def is_transfer(pairs):
+            return is_transfer_naive(n, leq, meets, pairs)
+
+        def is_cotransfer(pairs):
+            return (
+                compose_close(leq, pairs) == pairs
+                and pushout_close(n, leq, joins, pairs) == pairs
+            )
+
+        checks = (
+            (t_max, transfer_catalog(lat), is_transfer),
+            (k_max, cotransfer_systems(lat), is_cotransfer),
+        )
+        for bound, systems, is_system in checks:
+            masks = [s.mask for s in systems]
+            for mask in range(1 << m):
+                union = union_inside(masks, mask)
+                pairs = frozenset(
+                    (f.source, f.target) for f in ArrowSet(lat, union)
+                )
+                if is_system(pairs):
+                    assert bound(ArrowSet(lat, mask)).mask == union
+                else:
+                    with pytest.raises(MaximalityViolation):
+                        bound(ArrowSet(lat, mask))
+                    raised[bound] += 1
+    assert raised[t_max] > 0 and raised[k_max] > 0
+
+
+def test_models_and_the_graph_build_no_catalog():
+    for lat in fresh_corpus():
+        enumerate_model_structures(lat)
+        localization_graph(lat)
+        assert "transfers" not in lat._cache
+        assert "cotransfers" not in lat._cache
 
 
 def test_interval_rejects_non_weq(pentagon):

@@ -1,4 +1,6 @@
 import math
+import random
+from functools import partial
 
 import pytest
 
@@ -6,6 +8,7 @@ from latmod import (
     ArrowSet,
     NotATransferSystem,
     chain,
+    closed_sets,
     cotransfer_systems,
     enumerate_cotransfer_systems,
     is_cotransfer_system,
@@ -19,7 +22,13 @@ from latmod import (
     tr_meet,
     transfer_catalog,
 )
-from latmod.arrows import lex_key
+from latmod.arrows import (
+    _cotransfer_closure,
+    _tables,
+    _transfer_closure,
+    _wide_decomposable_closure,
+    lex_key,
+)
 
 from conftest import lattice_as_sets
 from oracles import all_transfer_systems_naive
@@ -59,6 +68,41 @@ def test_cotransfer_systems_match_exhaustive_filter(corpus):
         expected = [s for s in every if is_cotransfer_system(s)]
         expected.sort(key=lex_key)
         assert cotransfer_systems(lat) == tuple(expected)
+
+
+def test_bounded_walk_is_the_filtered_list(pentagon, grid21):
+    empty_by_closure = 0
+    for lat in (pentagon, grid21):
+        t = _tables(lat)
+        m = len(lat.arrows)
+        full = (1 << m) - 1
+        rng = random.Random(23)
+        for kernel in (
+            _transfer_closure,
+            _cotransfer_closure,
+            _wide_decomposable_closure,
+        ):
+            close = partial(kernel, t)
+            every = [s.mask for s in closed_sets(lat, close)]
+            bounds = [(0, -1), (0, full), (full, full), (full, 0)]
+            for _ in range(40):
+                # around a closed set, so that many intervals are nonempty
+                middle = rng.choice(every)
+                lo = middle & rng.randrange(1 << m)
+                hi = middle | rng.randrange(1 << m)
+                bounds += [(lo, hi), (rng.randrange(1 << m), hi)]
+            for lo, hi in bounds:
+                expected = [s for s in every if not lo & ~s and not s & ~hi]
+                got = [s.mask for s in closed_sets(lat, close, lo, hi)]
+                assert got == expected
+                if not lo & ~hi and close(lo) & ~hi:
+                    assert got == []
+                    empty_by_closure += 1
+    # {0->A, A->C} misses its composite, so no transfer system lies in it.
+    gap = ArrowSet.from_labels(pentagon, [("0", "A"), ("A", "C")]).mask
+    close = partial(_transfer_closure, _tables(pentagon))
+    assert closed_sets(pentagon, close, gap, gap) == ()
+    assert empty_by_closure > 0
 
 
 def test_catalog_is_sorted_and_containment_consistent(pentagon):
