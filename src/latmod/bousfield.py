@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .arrows import ArrowSet, _Tables, _tables
+from .arrows import ArrowSet, _Tables, _extend, _tables
 from .errors import AmbiguousMinimum, FixpointError, NotShort, UnknownLabel
 from .lattice import Arrow, FiniteLattice, _bits, _cached, _union_rows
 from .models import (
@@ -181,29 +181,13 @@ def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
     W_{r+1} = 2oo3(W_r | P(W_r - W)) from W_0 = W | {f}.  V need not be
     the smallest weak equivalence set containing W and f.
 
-    W is already closed under two-out-of-three, so only triangles
-    through new arrows can fire: a worklist pops each new arrow once,
-    adds its pullback (pushout) row, and completes every triangle through
-    it that has exactly two members.  Bits are only ever added.
+    W is already closed under two-out-of-three, so this is one run of
+    the extension kernel arrows._extend from W with arrow k new: its
+    two-out-of-three rules fire only on triangles through new arrows, and
+    each new arrow adds its pullback (pushout) row.
     """
     rows = t.pull if side == "right" else t.push
-    triangles_at = t.triangles_at
-    todo = 1 << k & ~weq
-    mask = weq | todo
-    while todo:
-        bit = todo & -todo
-        todo ^= bit
-        a = bit.bit_length() - 1
-        grown = rows[a]
-        for triangle in triangles_at[a]:
-            has = mask & triangle
-            # exactly two of the three arrows: not all, and not at most one
-            if has != triangle and has & (has - 1):
-                grown |= triangle
-        grown &= ~mask
-        mask |= grown
-        todo |= grown
-    return mask
+    return _extend(t.two_of_three_at, rows, weq, 1 << k)
 
 
 def _where(model: ModelStructure, f: Arrow, side: str) -> str:

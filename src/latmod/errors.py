@@ -46,5 +46,5 @@ class AmbiguousMinimum(LatmodError):
 
 
 class FixpointError(RuntimeError):
-    """Internal error: a closure failed to stabilize in bound, or a
-    localization changed the class it keeps (fibrations or cofibrations)."""
+    """Internal error: a localization changed the class it keeps
+    (fibrations or cofibrations)."""

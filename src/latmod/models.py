@@ -25,13 +25,12 @@ from .arrows import (
     is_transfer_system,
     rlp_dual,
     _composites,
+    _extend,
     _llp,
     _rlp,
     _tables,
-    _transfer_closure,
     _two_of_three_pass,
     _union_bytes,
-    _wide_decomposable_closure,
 )
 from .errors import (
     MaximalityViolation,
@@ -56,7 +55,7 @@ def is_weak_equivalence_set(weq: ArrowSet) -> bool:
     """
     lat = weq.lattice
     t = _tables(lat)
-    if _wide_decomposable_closure(t, weq.mask) != weq.mask:
+    if _extend(t.compose_at, t.legs, 0, weq.mask) != weq.mask:
         return False
     pos = lat.arrow_position
     outside = ~weq.mask
@@ -86,9 +85,10 @@ def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
 
 
 def _weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
-    close = partial(_wide_decomposable_closure, _tables(lat))
+    t = _tables(lat)
+    extend = partial(_extend, t.compose_at, t.legs)
     return tuple(
-        weq for weq in closed_sets(lat, close) if is_weak_equivalence_set(weq)
+        weq for weq in closed_sets(lat, extend) if is_weak_equivalence_set(weq)
     )
 
 
@@ -230,8 +230,9 @@ def _derive_table(weq: ArrowSet) -> dict[int, ModelStructure]:
             f"{weq.signature()} is not a weak equivalence set"
         )
     low, high = _bounds(weq)
-    close = partial(_transfer_closure, _tables(weq.lattice))
-    interval = closed_sets(weq.lattice, close, low.mask, high.mask)
+    t = _tables(weq.lattice)
+    extend = partial(_extend, t.compose_at, t.pull)
+    interval = closed_sets(weq.lattice, extend, low.mask, high.mask)
     return {af.mask: _derive(weq, af) for af in interval}
 
 

@@ -11,9 +11,8 @@ from .arrows import (
     close_two_out_of_three,
     generate_transfer,
     is_transfer_system,
-    _cotransfer_closure,
+    _extend,
     _tables,
-    _transfer_closure,
 )
 from .errors import NotALattice, NotATransferSystem
 from .lattice import Arrow, FiniteLattice, _cached, build_lattice, hasse_covers
@@ -57,18 +56,23 @@ class TransferCatalog:
 
 
 def closed_sets(
-    lat: FiniteLattice, close: Callable[[int], int], lo: int = 0, hi: int = -1
+    lat: FiniteLattice,
+    extend: Callable[[int, int], int],
+    lo: int = 0,
+    hi: int = -1,
 ) -> tuple[ArrowSet, ...]:
-    """Every fixed point of a closure on arrow masks, between lo and hi.
+    """Every closed set of an extension kernel, between lo and hi.
 
-    The search decides one arrow at a time, in canonical order.  Including
-    an arrow immediately forces the closure of the set so far; a branch
-    dies as soon as that closure meets an excluded arrow.  Every closed set
-    is produced exactly once, because the first arrow on which two closed
+    extend(mask, new) is the closure of mask | new for a closed mask, as
+    arrows._extend with one rule table and row table bound.  The search
+    decides one arrow at a time, in canonical order.  Including an arrow
+    extends the closed set so far by that arrow alone; a branch dies as
+    soon as the result meets an excluded arrow.  Every closed set is
+    produced exactly once, because the first arrow on which two closed
     sets differ was decided by distinct branches.  Every arrow before the
     current one is already decided and the exclusion branch is walked
     first, so the output comes out in canonical (lex_key) order.  It starts
-    from close(lo), with every arrow outside hi excluded.
+    from extend(0, lo), with every arrow outside hi excluded.
     """
     m = len(lat.arrows)
     out: list[ArrowSet] = []
@@ -82,21 +86,23 @@ def closed_sets(
             out.append(ArrowSet(lat, included))
             return
         walk(i + 1, included, excluded | 1 << i)
-        walk(i + 1, close(included | 1 << i), excluded)
+        walk(i + 1, extend(included, 1 << i), excluded)
 
-    walk(0, close(lo), ~hi)
+    walk(0, extend(0, lo), ~hi)
     return tuple(out)
 
 
 def enumerate_transfer_systems(lat: FiniteLattice) -> TransferCatalog:
     """Enumerate every transfer system on the lattice."""
     t = _tables(lat)
-    return TransferCatalog(lat, closed_sets(lat, partial(_transfer_closure, t)))
+    extend = partial(_extend, t.compose_at, t.pull)
+    return TransferCatalog(lat, closed_sets(lat, extend))
 
 
 def enumerate_cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     """Every cotransfer system, in the same canonical order."""
-    return closed_sets(lat, partial(_cotransfer_closure, _tables(lat)))
+    t = _tables(lat)
+    return closed_sets(lat, partial(_extend, t.compose_at, t.push))
 
 
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:

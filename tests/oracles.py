@@ -180,6 +180,22 @@ def two_out_of_three_close(
     return close_under(step, arrows)
 
 
+def wide_decomposable_close(
+    n: int, leq: set[Pair], arrows: frozenset[Pair]
+) -> frozenset[Pair]:
+    """Close under composition and under both legs of every factorization."""
+
+    def step(current):
+        out = set(compose_close(leq, frozenset(current)))
+        for x, w in current:
+            for y in range(n):
+                if y not in (x, w) and (x, y) in leq and (y, w) in leq:
+                    out |= {(x, y), (y, w)}
+        return out
+
+    return close_under(step, arrows)
+
+
 def naive_llp(
     all_arrows: list[Pair], leq: set[Pair], against: frozenset[Pair]
 ) -> frozenset[Pair]:

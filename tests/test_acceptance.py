@@ -16,8 +16,8 @@ from latmod import (
     close_pushout,
     close_retracts,
     close_two_out_of_three,
+    cotransfer_systems,
     derive_classes,
-    enumerate_cotransfer_systems,
     enumerate_model_structures,
     enumerate_transfer_systems,
     enumerate_weak_equivalence_sets,
@@ -32,6 +32,7 @@ from latmod import (
     left_localize,
     llp_dual,
     localization_graph,
+    product,
     pullbacks_of,
     pushouts_of,
     reachable_from_trivial,
@@ -63,14 +64,24 @@ def test_01_transfer_system_census(capsys, pentagon):
     _verdict(capsys, 1, "transfer system counts: pentagon 26, chains Catalan", ok)
 
 
-def test_02_lifting_duality_bijection(capsys, pentagon):
-    catalog = transfer_catalog(pentagon)
-    cotransfers = enumerate_cotransfer_systems(pentagon)
-    images = [llp_dual(t) for t in catalog]
-    ok = len(catalog) == 26 and len(cotransfers) == 26
-    ok &= {s.mask for s in images} == {s.mask for s in cotransfers}
-    ok &= all(rlp_dual(img) == t for t, img in zip(catalog, images))
-    _verdict(capsys, 2, "llp pairs the 26 systems with the 26 duals, rlp inverts", ok)
+def test_02_lifting_duality_bijection(capsys, corpus):
+    # llp maps the transfer systems onto the cotransfer systems and rlp
+    # inverts it, on every corpus lattice and the cube.
+    pentagon = corpus["n5"]
+    ok = len(transfer_catalog(pentagon)) == len(cotransfer_systems(pentagon)) == 26
+    cube = product(product(chain(1), chain(1)), chain(1))
+    for lat in (*corpus.values(), cube):
+        catalog = transfer_catalog(lat)
+        images = [llp_dual(t) for t in catalog]
+        ok &= {s.mask for s in images} == {s.mask for s in cotransfer_systems(lat)}
+        ok &= all(rlp_dual(img) == t for t, img in zip(catalog, images))
+    _verdict(
+        capsys,
+        2,
+        "llp pairs transfer with cotransfer systems (n5: 26 each, corpus, cube), "
+        "rlp inverts",
+        ok,
+    )
 
 
 PUSH_PULL = {

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -6,6 +7,7 @@ from latmod import (
     Arrow,
     ArrowSet,
     chain,
+    closed_sets,
     close_composition,
     close_pullback,
     close_pushout,
@@ -24,8 +26,7 @@ from latmod import (
     product,
     rlp_dual,
 )
-from latmod.arrows import _fixpoint, _tables, _union_bytes
-from latmod.errors import FixpointError
+from latmod.arrows import _extend, _tables, _union_bytes
 from latmod.lattice import _union_rows
 
 from conftest import lattice_as_sets
@@ -38,6 +39,7 @@ from oracles import (
     pullback_close,
     pushout_close,
     two_out_of_three_close,
+    wide_decomposable_close,
 )
 
 
@@ -108,16 +110,6 @@ def test_members_may_be_arrows_tuples_or_lists(pentagon):
         ArrowSet.of(pentagon, [(1, 0)])
 
 
-def test_fixpoint_error_names_the_closure_and_its_input(pentagon):
-    start = ArrowSet.from_labels(pentagon, [("0", "A")])
-    flip = 1 << pentagon.arrow_position[pentagon.arrow("C", "1")]
-    with pytest.raises(FixpointError) as err:
-        _fixpoint(start, lambda mask: mask ^ flip, "two-out-of-three closure")
-    assert str(err.value) == (
-        "two-out-of-three closure of {0->A} did not stabilize within 9 rounds"
-    )
-
-
 def test_cross_lattice_mixing_rejected(pentagon):
     other = n5()
     with pytest.raises(ValueError):
@@ -128,39 +120,53 @@ def test_cross_lattice_mixing_rejected(pentagon):
 # closures against the naive oracles
 
 
+def assert_closures_match_oracles(lat, aset):
+    n, leq, _, meets, joins = lattice_as_sets(lat)
+    pairs = pairs_of(aset)
+    pulled = pullback_close(n, leq, meets, pairs)
+    pushed = pushout_close(n, leq, joins, pairs)
+    assert pairs_of(close_composition(aset)) == compose_close(leq, pairs)
+    assert pairs_of(close_pullback(aset)) == pulled
+    assert pairs_of(close_pushout(aset)) == pushed
+    assert pairs_of(close_two_out_of_three(aset)) == two_out_of_three_close(
+        n, leq, pairs
+    )
+    assert pairs_of(generate_transfer(aset)) == compose_close(leq, pulled)
+    assert pairs_of(generate_cotransfer(aset)) == compose_close(leq, pushed)
+    assert pairs_of(close_wide_decomposable(aset)) == wide_decomposable_close(
+        n, leq, pairs
+    )
+
+
 def test_closures_match_oracle_on_all_n5_subsets(pentagon):
-    n, leq, _, meets, joins = lattice_as_sets(pentagon)
     for aset in all_subsets(pentagon):
-        pairs = pairs_of(aset)
-        assert pairs_of(close_composition(aset)) == compose_close(leq, pairs)
-        assert pairs_of(close_pullback(aset)) == pullback_close(
-            n, leq, meets, pairs
-        )
-        assert pairs_of(close_pushout(aset)) == pushout_close(
-            n, leq, joins, pairs
-        )
-        assert pairs_of(close_two_out_of_three(aset)) == two_out_of_three_close(
-            n, leq, pairs
-        )
+        assert_closures_match_oracles(pentagon, aset)
 
 
 def test_closures_match_oracle_on_random_grid_subsets(grid21):
-    n, leq, _, meets, joins = lattice_as_sets(grid21)
     rng = random.Random(20240817)
     m = len(grid21.arrows)
     for _ in range(120):
-        aset = ArrowSet(grid21, rng.randrange(1 << m))
-        pairs = pairs_of(aset)
-        assert pairs_of(close_composition(aset)) == compose_close(leq, pairs)
-        assert pairs_of(close_pullback(aset)) == pullback_close(
-            n, leq, meets, pairs
-        )
-        assert pairs_of(close_pushout(aset)) == pushout_close(
-            n, leq, joins, pairs
-        )
-        assert pairs_of(close_two_out_of_three(aset)) == two_out_of_three_close(
-            n, leq, pairs
-        )
+        assert_closures_match_oracles(grid21, ArrowSet(grid21, rng.randrange(1 << m)))
+
+
+def test_extending_a_closed_set_by_one_arrow_is_the_closure_from_zero(corpus):
+    # The contract closed_sets relies on: from a closed S, the kernel with
+    # one new arrow reaches the closure from 0 of S and that arrow.
+    cube = product(product(chain(1), chain(1)), chain(1))
+    for lat in (*corpus.values(), cube):
+        t = _tables(lat)
+        for rules, rows in (
+            (t.compose_at, t.pull),
+            (t.compose_at, t.push),
+            (t.compose_at, t.legs),
+            (t.two_of_three_at, t.no_rows),
+        ):
+            for s in closed_sets(lat, partial(_extend, rules, rows)):
+                assert _extend(rules, rows, 0, s.mask) == s.mask
+                for i in range(t.m):
+                    grown = _extend(rules, rows, s.mask, 1 << i)
+                    assert grown == _extend(rules, rows, 0, s.mask | 1 << i)
 
 
 def test_two_out_of_three_worked_example(pentagon):

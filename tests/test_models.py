@@ -130,7 +130,8 @@ def test_criterion_matches_the_chain_walk_on_every_subset(corpus):
 def test_criterion_matches_the_chain_walk_on_candidates(build, rejected):
     lat = build()
     candidates = closed_sets(
-        lat, lambda mask: close_wide_decomposable(ArrowSet(lat, mask)).mask
+        lat,
+        lambda mask, new: close_wide_decomposable(ArrowSet(lat, mask | new)).mask,
     )
     assert agrees_with_chain_walk(lat, candidates) == rejected
 

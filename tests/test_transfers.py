@@ -22,13 +22,7 @@ from latmod import (
     tr_meet,
     transfer_catalog,
 )
-from latmod.arrows import (
-    _cotransfer_closure,
-    _tables,
-    _transfer_closure,
-    _wide_decomposable_closure,
-    lex_key,
-)
+from latmod.arrows import _extend, _tables, lex_key
 
 from conftest import lattice_as_sets
 from oracles import all_transfer_systems_naive
@@ -77,13 +71,9 @@ def test_bounded_walk_is_the_filtered_list(pentagon, grid21):
         m = len(lat.arrows)
         full = (1 << m) - 1
         rng = random.Random(23)
-        for kernel in (
-            _transfer_closure,
-            _cotransfer_closure,
-            _wide_decomposable_closure,
-        ):
-            close = partial(kernel, t)
-            every = [s.mask for s in closed_sets(lat, close)]
+        for rows in (t.pull, t.push, t.legs):
+            extend = partial(_extend, t.compose_at, rows)
+            every = [s.mask for s in closed_sets(lat, extend)]
             bounds = [(0, -1), (0, full), (full, full), (full, 0)]
             for _ in range(40):
                 # around a closed set, so that many intervals are nonempty
@@ -93,15 +83,16 @@ def test_bounded_walk_is_the_filtered_list(pentagon, grid21):
                 bounds += [(lo, hi), (rng.randrange(1 << m), hi)]
             for lo, hi in bounds:
                 expected = [s for s in every if not lo & ~s and not s & ~hi]
-                got = [s.mask for s in closed_sets(lat, close, lo, hi)]
+                got = [s.mask for s in closed_sets(lat, extend, lo, hi)]
                 assert got == expected
-                if not lo & ~hi and close(lo) & ~hi:
+                if not lo & ~hi and extend(0, lo) & ~hi:
                     assert got == []
                     empty_by_closure += 1
     # {0->A, A->C} misses its composite, so no transfer system lies in it.
     gap = ArrowSet.from_labels(pentagon, [("0", "A"), ("A", "C")]).mask
-    close = partial(_transfer_closure, _tables(pentagon))
-    assert closed_sets(pentagon, close, gap, gap) == ()
+    t = _tables(pentagon)
+    extend = partial(_extend, t.compose_at, t.pull)
+    assert closed_sets(pentagon, extend, gap, gap) == ()
     assert empty_by_closure > 0
 
 
