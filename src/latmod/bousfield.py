@@ -6,10 +6,10 @@ reads W alone: two-out-of-three, plus the pullbacks (right) or pushouts
 its acyclic fibrations are W' & F; left localization keeps the
 cofibrations (and so the acyclic fibrations) untouched.  Golden arrows
 report the acyclic fibrations a right localization at a cover adds; the
-tests check that, with the old ones, they generate W' & F.  The
-localization graph runs the closure once per (W, cover, side), not once
-per edge, and reads each target structure from the enumeration by its
-(W', AF') key.
+tests check that, with the old ones, they generate W' & F.  W' depends
+on (W, arrow, side) alone, so each lattice keeps one shared localization
+map (W, arrow, side) -> W' that the graph and single calls fill and read:
+the closure runs once per triple.  Golden reports are kept per (W, cover).
 """
 from __future__ import annotations
 
@@ -86,13 +86,9 @@ def golden_arrows(
     elements of the old component of its target, sources the maximal
     elements of the old component of its source lying under some target,
     and the golden arrows pair them up (incomparable pairs are dropped).
-    Localizing at an existing weak equivalence yields no reports.
+    Localizing at an existing weak equivalence yields no reports.  The
+    reports depend on (W, cover) alone and are kept per lattice.
     """
-    return _golden_reports(model, _cover_weq(model, f))
-
-
-def _cover_weq(model: ModelStructure, f: Arrow) -> ArrowSet:
-    # The weak equivalences after right localization at the cover f.
     lat = model.lattice
     try:
         k = lat.arrow_index(f)
@@ -100,26 +96,23 @@ def _cover_weq(model: ModelStructure, f: Arrow) -> ArrowSet:
         raise NotShort(f"{err}, so not a cover") from None
     if not _tables(lat).cover_mask >> k & 1:
         raise NotShort(f"{lat.arrow_name(lat.arrows[k])} is not a cover")
-    if model.weq.mask >> k & 1:
-        return model.weq
-    return _localize_weq(model, lat.arrows[k], side="right")
+    weq = model.weq
+    if weq.mask >> k & 1:
+        return ()
+    return _cached(lat, ("golden", weq.mask, k), _golden_reports, weq, k)
 
 
-def _golden_reports(
-    model: ModelStructure, new_weq: ArrowSet
-) -> tuple[GoldenArrowReport, ...]:
+def _golden_reports(weq: ArrowSet, k: int) -> tuple[GoldenArrowReport, ...]:
     # Element sets are int masks over element indices; bit order is
     # index order, so targets and sources come out ascending.
-    lat = model.lattice
+    lat = weq.lattice
     t = _tables(lat)
-    new_covers = new_weq.mask & ~model.weq.mask & t.cover_mask
-    if not new_covers:
-        return ()
-    blocks = _blocks(model.weq)
+    new_weq = _localized_weq(lat, weq.mask, k, "right")
+    blocks = _blocks(weq)
     arrows, pos = lat.arrows, lat.arrow_position
     reports: list[GoldenArrowReport] = []
-    for k in _bits(new_covers):
-        sigma = arrows[k]
+    for c in _bits(new_weq & ~weq.mask & t.cover_mask):
+        sigma = arrows[c]
         targets = _maximal(t, blocks[sigma.target])
         under = blocks[sigma.source] & (targets | _union_rows(t.down, targets))
         sources = _maximal(t, under)
@@ -150,11 +143,12 @@ def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
     return out
 
 
-def _localize_weq(model: ModelStructure, f: Arrow, side: str) -> ArrowSet:
-    """The localized weak equivalences of model at f, on the given side."""
-    lat = model.lattice
-    k = lat.arrow_position[f]
-    return ArrowSet(lat, _weq_fixpoint(_tables(lat), model.weq.mask, k, side))
+def _localized_weq(lat: FiniteLattice, weq: int, k: int, side: str) -> int:
+    # The lattice's one localization map (W, arrow, side) -> W'.
+    localized = _cached(lat, "localized_weq", dict)
+    if (weq, k, side) not in localized:
+        localized[weq, k, side] = _weq_fixpoint(_tables(lat), weq, k, side)
+    return localized[weq, k, side]
 
 
 def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
@@ -216,19 +210,18 @@ def _check_kept(
 
 
 def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
-    # AF' is looked up in the model table of W' by its mask; a miss is
-    # derived with the check on, which raises the error that pair gives.
+    # W' comes from the shared map, AF' from the model table of W'; a
+    # miss is derived with the check on, which raises that pair's error.
     lat = model.lattice
     k = lat.arrow_index(f)
     if model.weq.mask >> k & 1:
         return model
-    f = lat.arrows[k]
-    new_weq = _localize_weq(model, f, side)
+    new_weq = ArrowSet(lat, _localized_weq(lat, model.weq.mask, k, side))
     af = _kept_af(model, new_weq.mask, side)
     localized = _model_table(new_weq).get(af)
     if localized is None:
         localized = derive_classes(new_weq, ArrowSet(lat, af))
-    _check_kept(model, localized, f, side)
+    _check_kept(model, localized, lat.arrows[k], side)
     return localized
 
 
@@ -295,19 +288,19 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     Edges localize at covers outside the weak equivalences only; a cover
     already weakly equivalent gives the identity localization, so no self
     loops appear.  The localized weak equivalences depend on (W, cover,
-    side) alone, so the fixpoint runs once per such triple, and each edge
-    reads its target from the enumeration by the key (W', AF'): AF' =
-    W' & F on the right, the old AF on the left.  The enumeration holds
-    exactly the pairs derive_classes admits, so a key it lacks is derived
-    with the check on, which raises the error that derivation gives.
+    side) alone, so each fixpoint runs once, into the lattice's shared
+    localization map that single localizations and golden reports read.
+    Each edge reads its target from the enumeration by the key (W', AF'):
+    AF' = W' & F on the right, the old AF on the left.  The enumeration
+    holds exactly the pairs derive_classes admits, so a key it lacks is
+    derived with the check on, which raises the error that derivation
+    gives.
     """
     structures = enumerate_model_structures(lat)
     position = {m.key(): i for i, m in enumerate(structures)}
     trivial = position[(0, 0)]
-    t = _tables(lat)
     arrow_pos = lat.arrow_position
     covers = [(f, arrow_pos[f]) for f in lat.covers]
-    localized: dict[tuple[int, int, str], int] = {}
     found: list[tuple[int, str, int, int]] = []
     for i, model in enumerate(structures):
         weq = model.weq.mask
@@ -315,10 +308,7 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
             if weq >> k & 1:
                 continue
             for side in ("left", "right"):
-                new_weq = localized.get((weq, k, side))
-                if new_weq is None:
-                    new_weq = _weq_fixpoint(t, weq, k, side)
-                    localized[weq, k, side] = new_weq
+                new_weq = _localized_weq(lat, weq, k, side)
                 af = _kept_af(model, new_weq, side)
                 j = position.get((new_weq, af))
                 if j is None:

@@ -218,14 +218,16 @@ def _derive(weq: ArrowSet, acyclic_fib: ArrowSet) -> ModelStructure:
     )
 
 
-def _model_table(weq: ArrowSet) -> dict[int, ModelStructure]:
-    # The structures over weq keyed by AF mask, in catalog order; a W that
-    # is not a weak equivalence set raises and leaves no table behind.
-    return _cached(weq.lattice, ("model_table", weq.mask), _derive_table, weq)
+def _model_table(weq: ArrowSet, check: bool = True) -> dict[int, ModelStructure]:
+    # The structures over weq keyed by AF mask, in catalog order.  W is
+    # checked only when its table is absent; a W that is not a weak
+    # equivalence set raises and leaves no table behind.
+    key = ("model_table", weq.mask)
+    return _cached(weq.lattice, key, _derive_table, weq, check)
 
 
-def _derive_table(weq: ArrowSet) -> dict[int, ModelStructure]:
-    if not is_weak_equivalence_set(weq):
+def _derive_table(weq: ArrowSet, check: bool) -> dict[int, ModelStructure]:
+    if check and not is_weak_equivalence_set(weq):
         raise NotAWeakEquivalenceSet(
             f"{weq.signature()} is not a weak equivalence set"
         )
@@ -242,10 +244,11 @@ def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]
 
 
 def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
+    # The enumeration has already checked each W.
     return tuple(
         model
         for weq in enumerate_weak_equivalence_sets(lat)
-        for model in _model_table(weq).values()
+        for model in _model_table(weq, check=False).values()
     )
 
 

@@ -23,6 +23,7 @@ from latmod import (
     left_localize,
     llp_dual,
     localization_graph,
+    n5,
     product,
     pullbacks_of,
     pushouts_of,
@@ -49,14 +50,44 @@ def cube():
     return product(product(chain(1), chain(1)), chain(1))
 
 
-@pytest.fixture(scope="module")
-def pentagon_model(pentagon):
-    """W has components {0, A, B, C} and {1}; AF is the three bottom covers."""
+def fresh_corpus_and_cube():
+    """The corpus lattices and the cube, built anew so their caches are empty."""
+    return (
+        n5(),
+        product(chain(1), chain(1)),
+        product(chain(2), chain(1)),
+        chain(1),
+        chain(2),
+        chain(3),
+        cube(),
+    )
+
+
+def counted_fixpoint(monkeypatch):
+    """Record each (W, arrow, side) that bousfield._weq_fixpoint runs on."""
+    calls = []
+    fixpoint = bousfield._weq_fixpoint
+
+    def counted(t, weq, k, side):
+        calls.append((weq, k, side))
+        return fixpoint(t, weq, k, side)
+
+    monkeypatch.setattr(bousfield, "_weq_fixpoint", counted)
+    return calls
+
+
+def make_pentagon_model(pentagon):
     weq = ArrowSet.from_labels(
         pentagon, [("0", "A"), ("0", "B"), ("0", "C"), ("A", "C")]
     )
     af = ArrowSet.from_labels(pentagon, [("0", "A"), ("0", "B"), ("0", "C")])
     return derive_classes(weq, af)
+
+
+@pytest.fixture(scope="module")
+def pentagon_model(pentagon):
+    """W has components {0, A, B, C} and {1}; AF is the three bottom covers."""
+    return make_pentagon_model(pentagon)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +133,7 @@ def as_pairs(aset):
 
 
 def test_golden_arrows_match_naive_oracle(corpus):
-    for lat in corpus.values():
+    for lat in (*corpus.values(), cube()):
         n, leq, covers, _, _ = lattice_as_sets(lat)
         for model in enumerate_model_structures(lat):
             for f in lat.covers:
@@ -121,25 +152,28 @@ def test_golden_arrows_match_naive_oracle(corpus):
 
 @pytest.mark.parametrize("source, target", [("C", "1"), ("0", "1")])
 def test_right_localize_at_a_cover_runs_the_fixpoint_once(
-    monkeypatch, pentagon, pentagon_model, source, target
+    monkeypatch, source, target
 ):
     # 0 -> 1 is a long arrow: it localizes directly, not cover by cover.
-    calls = []
-    fixpoint = bousfield._localize_weq
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return fixpoint(*args, **kwargs)
-
-    monkeypatch.setattr(bousfield, "_localize_weq", counted)
+    # A fresh lattice has an empty localization map; a repeat call, and
+    # golden reports at the same cover, read the entry the first call left.
+    pentagon = n5()
+    model = make_pentagon_model(pentagon)
+    calls = counted_fixpoint(monkeypatch)
     f = pentagon.arrow(source, target)
-    right_localize(pentagon_model, f)
-    assert calls == [f]
+    first = right_localize(model, f)
+    assert calls == [(model.weq.mask, pentagon.arrow_position[f], "right")]
+    assert right_localize(model, f) is first
+    if f in pentagon.covers:
+        assert golden_arrows(model, f) is golden_arrows(model, f)
+    assert len(calls) == 1
 
 
 def test_localized_weq_matches_the_naive_fixpoint(corpus):
     # Every model, every arrow outside W (covers and long arrows), both
-    # sides; 14,268 of the 16,956 localizations are on the cube.
+    # sides; 14,268 of the 16,956 localizations are on the cube.  W' is
+    # read through the shared map, so entries the graph left on the
+    # corpus lattices are checked too.
     for lat in (*corpus.values(), cube()):
         n, leq, _, meets, joins = lattice_as_sets(lat)
         for model in enumerate_model_structures(lat):
@@ -154,8 +188,10 @@ def test_localized_weq_matches_the_naive_fixpoint(corpus):
                     want = naive_localize_weq(
                         n, leq, meets, joins, classes, tuple(f), side
                     )
-                    got = bousfield._localize_weq(model, f, side)
-                    assert as_pairs(got) == want
+                    got = bousfield._localized_weq(
+                        lat, model.weq.mask, lat.arrow_position[f], side
+                    )
+                    assert as_pairs(ArrowSet(lat, got)) == want
 
 
 def test_localized_weq_reads_only_w(corpus):
@@ -275,19 +311,25 @@ def test_localizations_return_enumerated_structures(corpus):
     ids=["not-a-weq-set", "not-admissible"],
 )
 def test_localize_raises_the_derivation_error_off_the_table(
-    monkeypatch, pentagon, arrows, error
+    monkeypatch, arrows, error
 ):
     # A fixpoint result whose table lacks (W', AF') is derived with the
-    # check on; left localization of the trivial model keeps AF = {}.
+    # check on; left localization of the trivial model keeps AF = {}.  The
+    # error is not kept: a second call raises it again.  A fresh lattice,
+    # as the bad result stays in its localization map.
+    pentagon = n5()
     bad = ArrowSet.from_labels(pentagon, arrows)
-    monkeypatch.setattr(bousfield, "_localize_weq", lambda model, f, side: bad)
+    monkeypatch.setattr(
+        bousfield, "_weq_fixpoint", lambda t, weq, k, side: bad.mask
+    )
     trivial = enumerate_model_structures(pentagon)[0]
     assert trivial.key() == (0, 0)
     with pytest.raises(error) as want:
         derive_classes(bad, ArrowSet.empty(pentagon), check=True)
-    with pytest.raises(error) as got:
-        left_localize(trivial, pentagon.arrow("0", "A"))
-    assert str(got.value) == str(want.value)
+    for _ in range(2):
+        with pytest.raises(error) as got:
+            left_localize(trivial, pentagon.arrow("0", "A"))
+        assert str(got.value) == str(want.value)
 
 
 def test_localizing_at_a_weak_equivalence_changes_nothing(
@@ -380,23 +422,37 @@ def test_localization_graph(name, corpus):
             assert model.acyclic_fib <= redone.acyclic_fib
 
 
+FRESH = {"n5": n5, "square": lambda: product(chain(1), chain(1))}
+
+
 @pytest.mark.parametrize("name, calls", [("n5", 128), ("square", 48)])
 def test_graph_runs_one_fixpoint_per_weq_cover_and_side(
-    monkeypatch, corpus, name, calls
+    monkeypatch, name, calls
 ):
     # n5's 236 edges come from 128 (W, cover, side) triples, the square's
-    # 64 from 48; each triple runs the fixpoint once.
-    seen = []
-    fixpoint = bousfield._weq_fixpoint
-
-    def counted(t, weq, k, side):
-        seen.append((weq, k, side))
-        return fixpoint(t, weq, k, side)
-
-    monkeypatch.setattr(bousfield, "_weq_fixpoint", counted)
-    graph = localization_graph(corpus[name])
+    # 64 from 48; on a fresh lattice each triple runs the fixpoint once,
+    # and a second graph runs none.
+    lat = FRESH[name]()
+    seen = counted_fixpoint(monkeypatch)
+    graph = localization_graph(lat)
     assert len(graph.edges) == GRAPH_SHAPE[name][1]
     assert len(seen) == len(set(seen)) == calls
+    assert localization_graph(lat).edges == graph.edges
+    assert len(seen) == calls
+
+
+def test_nothing_runs_the_fixpoint_after_the_graph(monkeypatch):
+    # The graph fills the shared map for every (W, cover, side), so every
+    # single localization and golden report at a cover reads it.
+    for lat in fresh_corpus_and_cube():
+        localization_graph(lat)
+        calls = counted_fixpoint(monkeypatch)
+        for model in enumerate_model_structures(lat):
+            for f in lat.covers:
+                left_localize(model, f)
+                right_localize(model, f)
+                golden_arrows(model, f)
+        assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -405,11 +461,13 @@ def test_graph_runs_one_fixpoint_per_weq_cover_and_side(
     ids=["not-a-weq-set", "not-admissible"],
 )
 def test_graph_raises_the_derivation_error_off_the_enumeration(
-    monkeypatch, pentagon, arrows, error
+    monkeypatch, arrows, error
 ):
     # A fixpoint result that keys no enumerated structure is derived with
     # the check on: the first edge (trivial model, left) must fail as
-    # derive_classes(check=True) does on W' with the old AF = {}.
+    # derive_classes(check=True) does on W' with the old AF = {}.  A fresh
+    # lattice, as the bad result stays in its localization map.
+    pentagon = n5()
     bad = ArrowSet.from_labels(pentagon, arrows)
     monkeypatch.setattr(
         bousfield, "_weq_fixpoint", lambda t, weq, k, side: bad.mask
@@ -421,11 +479,11 @@ def test_graph_raises_the_derivation_error_off_the_enumeration(
     assert str(got.value) == str(want.value)
 
 
-def test_graph_checks_that_right_localization_keeps_fibrations(
-    monkeypatch, pentagon
-):
+def test_graph_checks_that_right_localization_keeps_fibrations(monkeypatch):
     # Landing on W' = {} gives the trivial model, whose fibrations are every
-    # arrow; the first model with fewer fibrations must be refused.
+    # arrow; the first model with fewer fibrations must be refused.  A fresh
+    # lattice, as the emptied results stay in its localization map.
+    pentagon = n5()
     fixpoint = bousfield._weq_fixpoint
 
     def emptied(t, weq, k, side):

@@ -409,6 +409,33 @@ def test_enumeration_keeps_one_model_table_per_weq_set():
         assert models == tuple(m for table in tables for m in table.values())
 
 
+def test_each_weq_set_is_checked_once(monkeypatch):
+    # The enumeration's filter checks each candidate, and the model tables
+    # of the sets it accepts are built without a second check; a table
+    # derived on demand checks its W once, before it is built.
+    checked = []
+
+    def counted(weq):
+        checked.append(weq.mask)
+        return is_weak_equivalence_set(weq)
+
+    monkeypatch.setattr("latmod.models.is_weak_equivalence_set", counted)
+    for lat in fresh_corpus():
+        checked.clear()
+        models = enumerate_model_structures(lat)
+        for model in models:
+            assert derive_classes(model.weq, model.acyclic_fib) is model
+            af_interval(model.weq)
+        assert len(checked) == len(set(checked))
+        assert {m.weq.mask for m in models} <= set(checked)
+    lat = n5()
+    full = ArrowSet.full(lat)
+    checked.clear()
+    assert af_interval(full) == af_interval(full)
+    assert derive_classes(full, full).weq == full
+    assert checked == [full.mask]
+
+
 def test_a_non_weq_set_leaves_no_model_table():
     for lat in fresh_corpus():
         catalog = transfer_catalog(lat)
