@@ -355,18 +355,6 @@ def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     )
 
 
-def _two_of_three_pass(t: _Tables, mask: int) -> int:
-    # One pass completing every triangle that holds exactly two arrows.
-    # A set is two-out-of-three closed exactly when the pass adds nothing,
-    # which is all verify_model_axioms asks of it.
-    for triangle in t.triangles:
-        has = mask & triangle
-        # exactly two of the three arrows: not all, and not at most one
-        if has != triangle and has & (has - 1):
-            mask |= triangle
-    return mask
-
-
 def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
     """Smallest composition-closed, wide decomposable superset.
 

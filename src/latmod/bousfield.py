@@ -146,9 +146,11 @@ def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
 def _localized_weq(lat: FiniteLattice, weq: int, k: int, side: str) -> int:
     # The lattice's one localization map (W, arrow, side) -> W'.
     localized = _cached(lat, "localized_weq", dict)
-    if (weq, k, side) not in localized:
-        localized[weq, k, side] = _weq_fixpoint(_tables(lat), weq, k, side)
-    return localized[weq, k, side]
+    key = (weq, k, side)
+    new_weq = localized.get(key)
+    if new_weq is None:
+        new_weq = localized[key] = _weq_fixpoint(_tables(lat), weq, k, side)
+    return new_weq
 
 
 def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
@@ -210,17 +212,19 @@ def _check_kept(
 
 
 def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
-    # W' comes from the shared map, AF' from the model table of W'; a
-    # miss is derived with the check on, which raises that pair's error.
+    # W' comes from the shared map, AF' from the model table of W', both
+    # read by mask.  A W' that is not a weak equivalence set raises on
+    # its table; an AF' the table lacks is derived with the check on,
+    # which raises that pair's error.
     lat = model.lattice
     k = lat.arrow_index(f)
     if model.weq.mask >> k & 1:
         return model
-    new_weq = ArrowSet(lat, _localized_weq(lat, model.weq.mask, k, side))
-    af = _kept_af(model, new_weq.mask, side)
-    localized = _model_table(new_weq).get(af)
+    weq = _localized_weq(lat, model.weq.mask, k, side)
+    af = _kept_af(model, weq, side)
+    localized = _model_table(lat, weq).get(af)
     if localized is None:
-        localized = derive_classes(new_weq, ArrowSet(lat, af))
+        localized = derive_classes(ArrowSet(lat, weq), ArrowSet(lat, af))
     _check_kept(model, localized, lat.arrows[k], side)
     return localized
 

@@ -34,7 +34,26 @@ class MaximalityViolation(LatmodError):
 
 
 class NotAdmissible(LatmodError):
-    """The proposed acyclic fibrations do not lie in the admissible interval."""
+    """The proposed acyclic fibrations do not lie in the admissible interval.
+
+    Raised as NotAdmissible(weq, acyclic_fib) with the refused arrow sets.
+    The message is worded only when it is read, so a caller that catches
+    the refusal pays for no arrow names.
+    """
+
+    @property
+    def weq(self):
+        return self.args[0]
+
+    @property
+    def acyclic_fib(self):
+        return self.args[1]
+
+    def __str__(self) -> str:
+        return (
+            f"AF={self.acyclic_fib.signature()} is outside the admissible "
+            f"interval of W={self.weq.signature()}"
+        )
 
 
 class NotShort(LatmodError):

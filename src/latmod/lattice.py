@@ -97,14 +97,22 @@ class FiniteLattice:
     def arrow_index(self, f: tuple[int, int]) -> int:
         """Position of f = (source, target) in `arrows`.
 
-        Raises UnknownLabel, worded like `arrow`, when f names no arrow.
+        Raises UnknownLabel, worded like `arrow`, when f names no arrow,
+        including when f is not a pair at all.
         """
-        k = self.arrow_position.get(tuple(f))
-        if k is None:
+        try:
+            return self.arrow_position[f]
+        except (KeyError, TypeError):  # no arrow, or an unhashable f
+            pass
+        try:
             s, t = f
-            for x in (s, t):
-                if not (isinstance(x, int) and 0 <= x < self.n):
-                    raise UnknownLabel(f"no element with index {x!r}")
+        except (TypeError, ValueError):
+            raise UnknownLabel(f"{f!r} is not a pair of element indices") from None
+        for x in (s, t):
+            if not (isinstance(x, int) and 0 <= x < self.n):
+                raise UnknownLabel(f"no element with index {x!r}")
+        k = self.arrow_position.get((s, t))
+        if k is None:
             self._check_relation(s, t)
         return k
 
@@ -309,11 +317,14 @@ def _union_rows(rows: Sequence[int], mask: int) -> int:
 
 
 def _cached(lat: FiniteLattice, key: Hashable, build: Callable, *args: Any) -> Any:
-    """build(*args), computed once per key and kept on lat, so freed with it."""
-    cache = lat._cache
-    if key not in cache:
-        cache[key] = build(*args)
-    return cache[key]
+    """build(*args), computed once per key and kept on lat, so freed with it.
+
+    A hit is one lookup.  No build returns None, which would read as a miss.
+    """
+    value = lat._cache.get(key)
+    if value is None:
+        value = lat._cache[key] = build(*args)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,10 @@ from .arrows import (
     is_cotransfer_system,
     is_transfer_system,
     rlp_dual,
-    _composites,
     _extend,
     _llp,
     _rlp,
     _tables,
-    _two_of_three_pass,
     _union_bytes,
 )
 from .errors import (
@@ -150,7 +148,8 @@ def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
 
     They are the acyclic fibrations of W's model table, built on first use.
     """
-    return tuple(model.acyclic_fib for model in _model_table(weq).values())
+    table = _model_table(weq.lattice, weq.mask)
+    return tuple(model.acyclic_fib for model in table.values())
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +191,9 @@ def derive_classes(
     af = weq._compatible(acyclic_fib)
     if not check:
         return _derive(weq, acyclic_fib)
-    model = _model_table(weq).get(af)
+    model = _model_table(weq.lattice, weq.mask).get(af)
     if model is None:
-        raise NotAdmissible(
-            f"AF={acyclic_fib.signature()} is outside the admissible "
-            f"interval of W={weq.signature()}"
-        )
+        raise NotAdmissible(weq, acyclic_fib)
     return model
 
 
@@ -218,23 +214,28 @@ def _derive(weq: ArrowSet, acyclic_fib: ArrowSet) -> ModelStructure:
     )
 
 
-def _model_table(weq: ArrowSet, check: bool = True) -> dict[int, ModelStructure]:
-    # The structures over weq keyed by AF mask, in catalog order.  W is
-    # checked only when its table is absent; a W that is not a weak
-    # equivalence set raises and leaves no table behind.
-    key = ("model_table", weq.mask)
-    return _cached(weq.lattice, key, _derive_table, weq, check)
+def _model_table(
+    lat: FiniteLattice, weq: int, check: bool = True
+) -> dict[int, ModelStructure]:
+    # The structures over the W with mask weq, keyed by AF mask, in
+    # catalog order.  A warm read builds nothing; W is checked only when
+    # its table is absent, and a W that is not a weak equivalence set
+    # raises and leaves no table behind.
+    return _cached(lat, ("model_table", weq), _derive_table, lat, weq, check)
 
 
-def _derive_table(weq: ArrowSet, check: bool) -> dict[int, ModelStructure]:
+def _derive_table(
+    lat: FiniteLattice, mask: int, check: bool
+) -> dict[int, ModelStructure]:
+    weq = ArrowSet(lat, mask)
     if check and not is_weak_equivalence_set(weq):
         raise NotAWeakEquivalenceSet(
             f"{weq.signature()} is not a weak equivalence set"
         )
     low, high = _bounds(weq)
-    t = _tables(weq.lattice)
+    t = _tables(lat)
     extend = partial(_extend, t.compose_at, t.pull)
-    interval = closed_sets(weq.lattice, extend, low.mask, high.mask)
+    interval = closed_sets(lat, extend, low.mask, high.mask)
     return {af.mask: _derive(weq, af) for af in interval}
 
 
@@ -248,7 +249,7 @@ def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
     return tuple(
         model
         for weq in enumerate_weak_equivalence_sets(lat)
-        for model in _model_table(weq, check=False).values()
+        for model in _model_table(lat, weq.mask, check=False).values()
     )
 
 
@@ -280,8 +281,6 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     t = _tables(model.lattice)
     weq, af = model.weq.mask, model.acyclic_fib.mask
     cof, ac, fib = model.cof.mask, model.acyclic_cof.mask, model.fib.mask
-    if _two_of_three_pass(t, weq) != weq:
-        return False
     for cls in (weq, cof, fib):
         if _union_bytes(t.retracts_bytes, cls) & ~cls:
             return False
@@ -291,8 +290,18 @@ def verify_model_axioms(model: ModelStructure) -> bool:
         return False
     if af & ~weq or ac != cof & weq or af != fib & weq:
         return False
-    # Every arrow must split as a lower-class leg then an upper-class leg,
-    # identity legs allowed: exactly what _composites collects.
-    return (
-        _composites(t, af, cof) == t.full and _composites(t, fib, ac) == t.full
-    )
+    # One pass over the composable triples.  W is closed under
+    # two-out-of-three exactly when no triangle holds two of its arrows
+    # but not the third.  Every arrow must split as a lower-class leg then
+    # an upper-class leg, identity legs allowed, so each union collects
+    # both classes and every composite of such legs (as _composites does).
+    lower, upper = cof | af, ac | fib
+    for (first, second, composite), triangle in zip(t.triples, t.triangles):
+        has = weq & triangle
+        if has != triangle and has & (has - 1):
+            return False
+        if cof & first and af & second:
+            lower |= composite
+        if ac & first and fib & second:
+            upper |= composite
+    return lower == t.full and upper == t.full

@@ -311,8 +311,8 @@ def naive_is_weak_equivalence_set(
 
 
 # ---------------------------------------------------------------------------
-# interval oracles: scans of the library's transfer and cotransfer catalogs,
-# as masks
+# interval and axiom oracles: scans of the library's transfer and
+# cotransfer catalogs and of its triangles, as masks
 
 
 def union_inside(systems: list[int], weq: int) -> int:
@@ -327,6 +327,20 @@ def union_inside(systems: list[int], weq: int) -> int:
 def systems_between(systems: list[int], lo: int, hi: int) -> list[int]:
     """The systems T with lo <= T <= hi, in the catalog's order."""
     return [s for s in systems if not lo & ~s and not s & ~hi]
+
+
+def two_of_three_pass(t, mask: int) -> int:
+    """One pass completing every triangle that holds exactly two arrows.
+
+    t is the lattice's closure tables (latmod.arrows._tables).  A set is
+    closed under two-out-of-three exactly when the pass adds nothing.
+    """
+    for triangle in t.triangles:
+        has = mask & triangle
+        # exactly two of the three arrows: not all, and not at most one
+        if has != triangle and has & (has - 1):
+            mask |= triangle
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from latmod import (
     right_localize,
     rlp_dual,
     smallest_weq_superset,
+    t_min,
     verify_model_axioms,
     weq_components,
 )
@@ -267,7 +268,15 @@ NOT_AN_ARROW = {
 }
 
 
-@pytest.mark.parametrize("pair", list(NOT_AN_ARROW))
+# Values that are no (source, target) pair at all.
+NOT_A_PAIR = {
+    (0, 1, 2): "(0, 1, 2) is not a pair of element indices",
+    (0,): "(0,) is not a pair of element indices",
+    None: "None is not a pair of element indices",
+}
+
+
+@pytest.mark.parametrize("pair", [*NOT_AN_ARROW, *NOT_A_PAIR])
 @pytest.mark.parametrize(
     "call, error, suffix",
     [
@@ -282,7 +291,7 @@ def test_a_pair_that_names_no_arrow_raises_a_typed_error(
 ):
     with pytest.raises(error) as err:
         call(pentagon_model, pair)
-    assert str(err.value) == NOT_AN_ARROW[pair] + suffix
+    assert str(err.value) == {**NOT_AN_ARROW, **NOT_A_PAIR}[pair] + suffix
 
 
 def test_not_an_arrow_is_worded_like_the_label_lookup(pentagon):
@@ -303,6 +312,42 @@ def test_localizations_return_enumerated_structures(corpus):
                     continue
                 for localize in (left_localize, right_localize):
                     assert id(localize(model, f)) in enumerated
+
+
+@pytest.mark.parametrize("build", [n5, cube], ids=["n5", "cube"])
+def test_localizing_a_fresh_lattice_fills_the_shared_model_tables(build):
+    # Nothing is enumerated, so the first localizations find no table for
+    # W' and derive it; starts from derive_classes models follow.  Every
+    # result is the structure the later enumeration holds, and each W'
+    # has one table, keyed by its mask.
+    lat = build()
+
+    def tables():
+        return {key for key in lat._cache if isinstance(key, tuple)}
+
+    def localize_everywhere(model):
+        found = []
+        for f in lat.arrows:
+            if f not in model.weq:
+                found += [left_localize(model, f), right_localize(model, f)]
+        return found
+
+    empty = ArrowSet.empty(lat)
+    trivial = derive_classes(empty, empty)
+    assert tables() == {("model_table", 0)}
+    results = localize_everywhere(trivial)
+    starts = [
+        derive_classes(w, t_min(w)) for w in enumerate_weak_equivalence_sets(lat)
+    ]
+    for model in starts:
+        results += localize_everywhere(model)
+    seen = {m.weq.mask for m in (trivial, *starts, *results)}
+    assert tables() == {("model_table", w) for w in seen}
+    models = enumerate_model_structures(lat)
+    assert tables() == {("model_table", m.weq.mask) for m in models}
+    enumerated = {m.key(): m for m in models}
+    for model in (trivial, *starts, *results):
+        assert model is enumerated[model.key()]
 
 
 @pytest.mark.parametrize(

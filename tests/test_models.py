@@ -36,7 +36,6 @@ from latmod.arrows import (
     _llp,
     _rlp,
     _tables,
-    _two_of_three_pass,
     _union_bytes,
     lex_key,
 )
@@ -48,6 +47,7 @@ from oracles import (
     naive_is_weak_equivalence_set,
     pushout_close,
     systems_between,
+    two_of_three_pass,
     union_inside,
 )
 
@@ -540,10 +540,34 @@ def test_derive_check_messages_are_unchanged(build, weq, af, error, message):
         assert str(err.value) == message
 
 
+def test_a_refusal_words_its_message_only_when_read(monkeypatch):
+    # Refusing a pair names no arrow, on a cold table and on a warm one;
+    # the message, read twice, is the one derivation always gave, and the
+    # error holds the pair it refused.
+    build, weq_mask, af_mask, _, message = BAD_PAIRS[1]
+    lat = build()
+    weq, af = ArrowSet(lat, weq_mask), ArrowSet(lat, af_mask)
+    named = []
+    signature = ArrowSet.signature
+
+    def counted(aset):
+        named.append(aset.mask)
+        return signature(aset)
+
+    monkeypatch.setattr(ArrowSet, "signature", counted)
+    for _ in range(2):
+        with pytest.raises(NotAdmissible) as err:
+            derive_classes(weq, af)
+        assert named == []
+    assert err.value.weq is weq and err.value.acyclic_fib is af
+    assert str(err.value) == str(err.value) == message
+    assert named == [af_mask, weq_mask] * 2
+
+
 # The checks of verify_model_axioms, by name, on raw masks.
 def axiom_failures(t, weq, af, cof, ac, fib):
     checks = {
-        "2oo3(W)": _two_of_three_pass(t, weq) == weq,
+        "2oo3(W)": two_of_three_pass(t, weq) == weq,
         "retracts": all(
             not _union_bytes(t.retracts_bytes, cls) & ~cls
             for cls in (weq, cof, fib)
@@ -575,7 +599,7 @@ def test_the_implied_axiom_checks_never_fail_alone():
         t = _tables(lat)
         every = range(1 << len(lat.arrows))
         closed = [x for x in every if not _union_bytes(t.retracts_bytes, x) & ~x]
-        weqs = [w for w in closed if _two_of_three_pass(t, w) == w]
+        weqs = [w for w in closed if two_of_three_pass(t, w) == w]
         llp_closed = {_llp(t, x) for x in every}
         rlp_closed = {_rlp(t, x) for x in every}
         seen = 0
