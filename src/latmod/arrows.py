@@ -8,7 +8,6 @@ closure, so they are not stored.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .lattice import (
@@ -20,12 +19,38 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
 class ArrowSet:
-    """An immutable set of non-identity arrows of one lattice."""
+    """An immutable set of non-identity arrows of one lattice.
+
+    Two slots and no instance dict: equal lattice and mask give equal
+    sets with equal hashes, and assignment raises AttributeError.
+    """
+
+    __slots__ = ("lattice", "mask")
 
     lattice: FiniteLattice
     mask: int
+
+    def __init__(self, lattice: FiniteLattice, mask: int) -> None:
+        _set_lattice(self, lattice)
+        _set_mask(self, mask)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ArrowSet:
+            return NotImplemented
+        return self.mask == other.mask and self.lattice == other.lattice
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.mask))
+
+    def __reduce__(self):
+        return ArrowSet, (self.lattice, self.mask)
 
     # -- construction ---------------------------------------------------
 
@@ -54,8 +79,13 @@ class ArrowSet:
 
     # -- set behaviour --------------------------------------------------
 
-    def __contains__(self, f: Arrow) -> bool:
-        pos = self.lattice.arrow_position.get(tuple(f))
+    def __contains__(self, f: object) -> bool:
+        # Anything that is not a pair of element indices is no member,
+        # like a pair that names no arrow.
+        try:
+            pos = self.lattice.arrow_position.get(tuple(f))
+        except TypeError:
+            return False
         return pos is not None and bool(self.mask >> pos & 1)
 
     def __iter__(self) -> Iterator[Arrow]:
@@ -110,6 +140,11 @@ class ArrowSet:
 
     def __repr__(self) -> str:
         return f"ArrowSet({self.signature()})"
+
+
+# The slot descriptors' own setters, which __setattr__ does not block.
+_set_lattice = ArrowSet.lattice.__set__
+_set_mask = ArrowSet.mask.__set__
 
 
 def _arrow_names(lat: FiniteLattice) -> tuple[str, ...]:

@@ -14,9 +14,8 @@ the closure runs once per triple.  Golden reports are kept per (W, cover).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arrows import ArrowSet, _Tables, _extend, _tables
 from .errors import AmbiguousMinimum, FixpointError, NotShort, UnknownLabel
@@ -67,8 +66,7 @@ def _block_masks(weq: ArrowSet) -> tuple[int, ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class GoldenArrowReport:
+class GoldenArrowReport(NamedTuple):
     """Golden arrows contributed by one newly weakly-equivalent cover."""
 
     new_weq: Arrow
@@ -216,11 +214,11 @@ def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
     # read by mask.  A W' that is not a weak equivalence set raises on
     # its table; an AF' the table lacks is derived with the check on,
     # which raises that pair's error.
-    lat = model.lattice
+    lat, weq = model.lattice, model.weq.mask
     k = lat.arrow_index(f)
-    if model.weq.mask >> k & 1:
+    if weq >> k & 1:
         return model
-    weq = _localized_weq(lat, model.weq.mask, k, side)
+    weq = _localized_weq(lat, weq, k, side)
     af = _kept_af(model, weq, side)
     localized = _model_table(lat, weq).get(af)
     if localized is None:
@@ -247,21 +245,28 @@ def left_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
 # the localization graph
 
 
-@dataclass(frozen=True)
-class LocalizationEdge:
+class LocalizationEdge(NamedTuple):
     src: int
     dst: int
     side: str
     at: Arrow
 
 
-@dataclass(frozen=True)
 class LocalizationGraph:
-    """All model structures with left and right localization edges."""
+    """All model structures with left and right localization edges.
 
-    structures: tuple[ModelStructure, ...]
-    edges: tuple[LocalizationEdge, ...]
-    trivial_index: int
+    Graphs compare by identity, like lattices.
+    """
+
+    def __init__(
+        self,
+        structures: tuple[ModelStructure, ...],
+        edges: tuple[LocalizationEdge, ...],
+        trivial_index: int,
+    ) -> None:
+        self.structures = structures
+        self.edges = edges
+        self.trivial_index = trivial_index
 
     def __len__(self) -> int:
         return len(self.structures)

@@ -6,7 +6,6 @@ input, 141 standard output closed by the reader before all was written.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -220,6 +219,8 @@ def _cmd_models(args: argparse.Namespace) -> int:
         if args.count_only:
             _emit(f"{len(structures)}\n", args.out)
         elif args.format == "csv":
+            import csv
+
             buf = io.StringIO()
             writer = csv.writer(buf)
             writer.writerow(["weq", "t_min", "t_max", "af_count", "af_interval"])

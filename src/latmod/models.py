@@ -16,8 +16,8 @@ check on is a lookup that returns the enumerated structure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .arrows import (
     ArrowSet,
@@ -148,7 +148,7 @@ def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
 
     They are the acyclic fibrations of W's model table, built on first use.
     """
-    table = _model_table(weq.lattice, weq.mask)
+    table = _model_table(weq.lattice, weq.mask, weq)
     return tuple(model.acyclic_fib for model in table.values())
 
 
@@ -156,8 +156,7 @@ def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
 # model structures
 
 
-@dataclass(frozen=True)
-class ModelStructure:
+class ModelStructure(NamedTuple):
     """The five interlocking arrow classes of a model structure."""
 
     lattice: FiniteLattice
@@ -191,7 +190,7 @@ def derive_classes(
     af = weq._compatible(acyclic_fib)
     if not check:
         return _derive(weq, acyclic_fib)
-    model = _model_table(weq.lattice, weq.mask).get(af)
+    model = _model_table(weq.lattice, weq.mask, weq).get(af)
     if model is None:
         raise NotAdmissible(weq, acyclic_fib)
     return model
@@ -215,19 +214,26 @@ def _derive(weq: ArrowSet, acyclic_fib: ArrowSet) -> ModelStructure:
 
 
 def _model_table(
-    lat: FiniteLattice, weq: int, check: bool = True
+    lat: FiniteLattice,
+    mask: int,
+    weq: ArrowSet | None = None,
+    check: bool = True,
 ) -> dict[int, ModelStructure]:
-    # The structures over the W with mask weq, keyed by AF mask, in
+    # The structures over the W with this mask, keyed by AF mask, in
     # catalog order.  A warm read builds nothing; W is checked only when
     # its table is absent, and a W that is not a weak equivalence set
-    # raises and leaves no table behind.
-    return _cached(lat, ("model_table", weq), _derive_table, lat, weq, check)
+    # raises and leaves no table behind.  The table's structures share
+    # weq, the caller's ArrowSet of W, built here only when none is given.
+    return _cached(
+        lat, ("model_table", mask), _derive_table, lat, mask, weq, check
+    )
 
 
 def _derive_table(
-    lat: FiniteLattice, mask: int, check: bool
+    lat: FiniteLattice, mask: int, weq: ArrowSet | None, check: bool
 ) -> dict[int, ModelStructure]:
-    weq = ArrowSet(lat, mask)
+    if weq is None:
+        weq = ArrowSet(lat, mask)
     if check and not is_weak_equivalence_set(weq):
         raise NotAWeakEquivalenceSet(
             f"{weq.signature()} is not a weak equivalence set"
@@ -245,11 +251,12 @@ def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]
 
 
 def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
-    # The enumeration has already checked each W.
+    # The enumeration has already checked each W, and its tables share
+    # the enumerated ArrowSets.
     return tuple(
         model
         for weq in enumerate_weak_equivalence_sets(lat)
-        for model in _model_table(lat, weq.mask, check=False).values()
+        for model in _model_table(lat, weq.mask, weq, check=False).values()
     )
 
 
@@ -278,9 +285,9 @@ def verify_model_axioms(model: ModelStructure) -> bool:
         with x <= a and z <= b, the pullback a & z -> z is in AF, so is
         a & z -> y, and z <= a & z <= a by the choice of z.
     """
-    t = _tables(model.lattice)
-    weq, af = model.weq.mask, model.acyclic_fib.mask
-    cof, ac, fib = model.cof.mask, model.acyclic_cof.mask, model.fib.mask
+    lat, weq, af, cof, ac, fib = model
+    t = _tables(lat)
+    weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
     for cls in (weq, cof, fib):
         if _union_bytes(t.retracts_bytes, cls) & ~cls:
             return False

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator
 
@@ -18,17 +17,20 @@ from .errors import NotALattice, NotATransferSystem
 from .lattice import Arrow, FiniteLattice, _cached, build_lattice, hasse_covers
 
 
-@dataclass(frozen=True)
 class TransferCatalog:
     """All transfer systems of one lattice, in canonical order.
 
     Canonical order is lexicographic on membership bit vectors (first
     canonical arrow most significant), which refines containment: the
-    empty system is first and the complete one last.
+    empty system is first and the complete one last.  Catalogs compare
+    by identity, like lattices.
     """
 
-    lattice: FiniteLattice
-    systems: tuple[ArrowSet, ...]
+    def __init__(
+        self, lattice: FiniteLattice, systems: tuple[ArrowSet, ...]
+    ) -> None:
+        self.lattice = lattice
+        self.systems = systems
 
     def __len__(self) -> int:
         return len(self.systems)

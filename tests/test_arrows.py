@@ -1,3 +1,4 @@
+import copy
 import random
 from functools import partial
 
@@ -108,6 +109,31 @@ def test_members_may_be_arrows_tuples_or_lists(pentagon):
     assert (0, 1, 2) not in ArrowSet.full(pentagon)
     with pytest.raises(KeyError):
         ArrowSet.of(pentagon, [(1, 0)])
+
+
+@pytest.mark.parametrize("value", [None, 5, "ab", (0, 1, 2)])
+def test_values_that_are_no_pair_of_indices_are_not_members(pentagon, value):
+    # The same answer as for a pair that names no arrow, not a TypeError.
+    for aset in (ArrowSet.empty(pentagon), ArrowSet.full(pentagon)):
+        assert (value in aset) is False
+
+
+def test_arrow_sets_are_immutable_slotted_records(pentagon):
+    a = ArrowSet(pentagon, 0b1011)
+    for name in ("lattice", "mask", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.mask == 0b1011 and a.lattice is pentagon
+    b = ArrowSet(pentagon, 0b1011)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ArrowSet(pentagon, 0b1010)
+    assert a != ArrowSet(n5(), 0b1011)
+    assert a != (pentagon, 0b1011)
+    assert copy.copy(a) == a
+    assert not hasattr(a, "__dict__")
+    assert repr(a) == "ArrowSet({0->A, 0->B, 0->1})"
 
 
 def test_cross_lattice_mixing_rejected(pentagon):

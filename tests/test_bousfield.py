@@ -123,6 +123,21 @@ def test_golden_arrows_on_pentagon(pentagon, pentagon_model):
         assert report.golden.signature() == "{B->1, C->1}"
 
 
+def test_record_reprs_name_every_field(pentagon):
+    graph = localization_graph(pentagon)
+    assert repr(graph.edges[0]) == (
+        "LocalizationEdge(src=0, dst=26, side='left', "
+        "at=Arrow(source=0, target=1))"
+    )
+    trivial = graph.structures[graph.trivial_index]
+    assert repr(golden_arrows(trivial, pentagon.arrow("C", "1"))) == (
+        "(GoldenArrowReport(new_weq=Arrow(source=0, target=2), targets=(2,), "
+        "sources=(0,), golden=ArrowSet({0->B})), "
+        "GoldenArrowReport(new_weq=Arrow(source=3, target=4), targets=(4,), "
+        "sources=(3,), golden=ArrowSet({C->1})))"
+    )
+
+
 def test_golden_arrows_on_square(square, square_model):
     f = square.arrow("(1,0)", "(1,1)")
     golden = golden_arrow_set(square_model, f)

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 
 import pytest
@@ -409,6 +409,32 @@ def test_enumeration_keeps_one_model_table_per_weq_set():
         assert models == tuple(m for table in tables for m in table.values())
 
 
+def test_enumerated_models_share_the_enumerated_weq_sets():
+    # One ArrowSet per enumerated W: each model over W holds that object.
+    for lat in fresh_corpus():
+        weqs = {w.mask: w for w in enumerate_weak_equivalence_sets(lat)}
+        for model in enumerate_model_structures(lat):
+            assert model.weq is weqs[model.weq.mask]
+
+
+def test_model_structures_are_immutable_records(pentagon):
+    model = enumerate_model_structures(pentagon)[5]
+    fields = ("lattice", "weq", "acyclic_fib", "cof", "acyclic_cof", "fib")
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(model, name, None)
+    # The same fields, from fresh ArrowSets, give an equal structure.
+    rebuilt = ModelStructure(
+        pentagon,
+        *(ArrowSet(pentagon, getattr(model, name).mask) for name in fields[1:]),
+    )
+    assert rebuilt == model and hash(rebuilt) == hash(model)
+    assert rebuilt != enumerate_model_structures(pentagon)[6]
+    assert copy.copy(model) == model
+    assert not hasattr(model, "__dict__")
+    assert repr(model) == f"ModelStructure({model.signature()})"
+
+
 def test_each_weq_set_is_checked_once(monkeypatch):
     # The enumeration's filter checks each candidate, and the model tables
     # of the sets it accepts are built without a second check; a table
@@ -653,7 +679,7 @@ def test_axioms_reject_every_one_arrow_change_of_a_class(pentagon, square):
                 mask = getattr(model, name).mask
                 for i in range(len(lat.arrows)):
                     flipped = ArrowSet(lat, mask ^ 1 << i)
-                    changed = dataclasses.replace(model, **{name: flipped})
+                    changed = model._replace(**{name: flipped})
                     assert not verify_model_axioms(changed)
 
 

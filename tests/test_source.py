@@ -45,3 +45,35 @@ def test_runs_without_numpy():
     assert blocked.returncode == 0, blocked.stderr
     imported = _run_python("import sys, latmod.cli; print('numpy' in sys.modules)")
     assert (imported.returncode, imported.stdout) == (0, "False\n")
+
+
+# sha256 of `latmod models enumerate --lattice builtin:n5 --format csv`.
+N5_CSV_SHA256 = "913bf2521f642ce921c9503f1cd971e7bb3354d14355d2fa435aaf10c4ee5b42"
+
+
+def test_runs_without_dataclasses_or_an_eager_csv():
+    # Records are slotted classes or named tuples, so nothing needs
+    # dataclasses; csv is imported by the CSV export alone.
+    blocked = _run_python(
+        "import sys\n"
+        "sys.modules['dataclasses'] = None\n"
+        "from latmod.cli import main\n"
+        "sys.exit(main(['reproduce', '--paper-checks']))\n"
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    imported = _run_python(
+        "import sys, latmod.cli\n"
+        "print('dataclasses' in sys.modules, 'csv' in sys.modules)\n"
+    )
+    assert (imported.returncode, imported.stdout) == (0, "False False\n")
+    exported = _run_python(
+        "import hashlib, io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from latmod.cli import main\n"
+        "out = io.StringIO()\n"
+        "with redirect_stdout(out):\n"
+        "    code = main(['models', 'enumerate', '--lattice', 'builtin:n5',\n"
+        "                 '--format', 'csv'])\n"
+        "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    assert (exported.returncode, exported.stdout) == (0, f"0 {N5_CSV_SHA256}\n")
