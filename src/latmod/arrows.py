@@ -64,11 +64,16 @@ class ArrowSet:
 
     @classmethod
     def of(cls, lat: FiniteLattice, arrows: Iterable[Arrow | tuple[int, int]]) -> "ArrowSet":
-        # Arrow is a NamedTuple, so a plain pair finds the same key.
+        # Arrow is a NamedTuple, so a plain pair finds the same key.  On
+        # a miss, arrow_index raises the UnknownLabel that says why.
         pos = lat.arrow_position
         mask = 0
         for f in arrows:
-            mask |= 1 << pos[tuple(f)]
+            try:
+                k = pos[tuple(f)]
+            except (KeyError, TypeError):
+                k = lat.arrow_index(f)
+            mask |= 1 << k
         return cls(lat, mask)
 
     @classmethod
@@ -151,21 +156,6 @@ def _arrow_names(lat: FiniteLattice) -> tuple[str, ...]:
     return tuple(map(lat.arrow_name, lat.arrows))
 
 
-def lex_key(aset: ArrowSet) -> int:
-    """Sort key giving lexicographic order on membership bit vectors.
-
-    Bit 0 (the first canonical arrow) is most significant, so the empty
-    set sorts first and the full set last, and the order refines subset
-    containment.
-    """
-    m = len(aset.lattice.arrows)
-    mask = aset.mask
-    out = 0
-    for i in range(m):
-        out = out << 1 | (mask >> i & 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # per-lattice closure tables
 
@@ -174,7 +164,7 @@ class _Tables:
     """Precomputed bit tables driving every closure and lifting operator.
 
     Each per-arrow row table that is read as a union of rows (pull, push,
-    kill_llp, kill_rlp, retracts) also has a byte table, `<name>_bytes`,
+    kill_llp, kill_rlp) also has a byte table, `<name>_bytes`,
     for _union_bytes.
     """
 
@@ -194,12 +184,10 @@ class _Tables:
         "cover_mask",
         "up",
         "down",
-        "retracts",
         "pull_bytes",
         "push_bytes",
         "kill_llp_bytes",
         "kill_rlp_bytes",
-        "retracts_bytes",
     )
 
     def __init__(self, lat: FiniteLattice) -> None:
@@ -268,23 +256,10 @@ class _Tables:
         self.down = tuple(
             sum(1 << x for x in elems if self.up[x] >> y & 1) for y in elems
         )
-        # retracts[k]: the arrows a -> b with a order-isomorphic to the
-        # source of arrow k and b to its target (a <= x <= a, b <= y <= b).
-        iso = [
-            [a for a in elems if lat.le(a, x) and lat.le(x, a)] for x in elems
-        ]
-        self.retracts = tuple(
-            _mask_of(
-                pos, [Arrow(a, b) for a in iso[x] for b in iso[y] if a != b]
-            )
-            for x, y in arrows
-        )
-
         self.pull_bytes = _byte_table(self.pull)
         self.push_bytes = _byte_table(self.push)
         self.kill_llp_bytes = _byte_table(self.kill_llp)
         self.kill_rlp_bytes = _byte_table(self.kill_rlp)
-        self.retracts_bytes = _byte_table(self.retracts)
 
 
 def _byte_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -398,20 +373,6 @@ def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
     """
     t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, _extend(t.compose_at, t.legs, 0, aset.mask))
-
-
-def close_retracts(aset: ArrowSet) -> ArrowSet:
-    """Close under retracts.
-
-    A retract diagram around g: x -> y needs maps a -> x -> a and
-    b -> y -> b, which in a poset force a = x and b = y, so this always
-    returns its input; it is kept as a genuine check of that fact, read
-    from the table of order-isomorphic endpoints.
-    """
-    t = _tables(aset.lattice)
-    return ArrowSet(
-        aset.lattice, aset.mask | _union_bytes(t.retracts_bytes, aset.mask)
-    )
 
 
 def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:

@@ -18,13 +18,12 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .arrows import ArrowSet, _Tables, _extend, _tables
-from .errors import AmbiguousMinimum, FixpointError, NotShort, UnknownLabel
+from .errors import FixpointError, NotShort, UnknownLabel
 from .lattice import Arrow, FiniteLattice, _bits, _cached, _union_rows
 from .models import (
     ModelStructure,
     derive_classes,
     enumerate_model_structures,
-    enumerate_weak_equivalence_sets,
     _model_table,
 )
 
@@ -356,25 +355,3 @@ def is_weakly_connected(graph: LocalizationGraph) -> bool:
     if not graph.structures:
         return True
     return len(_search(graph._undirected, 0)) == len(graph)
-
-
-def smallest_weq_superset(lat: FiniteLattice, base: ArrowSet) -> ArrowSet:
-    """The unique smallest weak equivalence set containing the given arrows.
-
-    Raises AmbiguousMinimum when the minimal candidates are not unique;
-    used as an independent check on the localization fixpoints.
-    """
-    candidates = [
-        weq for weq in enumerate_weak_equivalence_sets(lat) if base <= weq
-    ]
-    minimal = [
-        weq
-        for weq in candidates
-        if not any(other < weq for other in candidates)
-    ]
-    if len(minimal) != 1:
-        raise AmbiguousMinimum(
-            f"{len(minimal)} minimal weak equivalence sets contain "
-            f"{base.signature()}"
-        )
-    return minimal[0]

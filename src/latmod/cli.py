@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Any
 
-from .arrows import ArrowSet, generate_transfer, llp_dual, rlp_dual
+from .arrows import generate_transfer, llp_dual, rlp_dual
 from .bousfield import (
     golden_arrows,
     is_weakly_connected,
@@ -33,7 +33,6 @@ from .models import (
     verify_model_axioms,
 )
 from .serialize import (
-    catalog_dot,
     load_arrow_set,
     load_lattice,
     load_model,
@@ -188,7 +187,8 @@ def _cmd_transfers(args: argparse.Namespace) -> int:
         if args.format == "count":
             _emit(f"{len(catalog)}\n", args.out)
         elif args.format == "dot":
-            _emit(catalog_dot(catalog), args.out)
+            dot = systems_dot(catalog.systems, name="transfer_systems")
+            _emit(dot, args.out)
         else:
             _emit_json(
                 {

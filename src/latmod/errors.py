@@ -60,10 +60,6 @@ class NotShort(LatmodError):
     """Golden arrow computations require a short arrow (a cover)."""
 
 
-class AmbiguousMinimum(LatmodError):
-    """No unique smallest weak equivalence set contains the requested arrows."""
-
-
 class FixpointError(RuntimeError):
     """Internal error: a localization changed the class it keeps
     (fibrations or cofibrations)."""

@@ -331,11 +331,6 @@ def _cached(lat: FiniteLattice, key: Hashable, build: Callable, *args: Any) -> A
 # arrows and factorizations
 
 
-def short_arrows(lat: FiniteLattice) -> tuple[Arrow, ...]:
-    """The covers of the lattice; every arrow factors through these."""
-    return lat.covers
-
-
 def pushouts_of(lat: FiniteLattice, f: Arrow) -> frozenset[Arrow]:
     """Nontrivial pushouts of f: for each z >= source, the arrow z -> z v target.
 

@@ -19,7 +19,6 @@ from .lattice import (
     product,
 )
 from .models import ModelStructure, derive_classes
-from .transfers import TransferCatalog
 
 _BUILTIN_CHAIN = re.compile(r"chain(\d+)$")
 _BUILTIN_GRID = re.compile(r"grid(\d+)x(\d+)$")
@@ -163,10 +162,6 @@ def systems_dot(systems: Sequence[ArrowSet], name: str = "systems") -> str:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def catalog_dot(catalog: TransferCatalog) -> str:
-    return systems_dot(catalog.systems, name="transfer_systems")
 
 
 def models_dot(structures: Sequence[ModelStructure]) -> str:

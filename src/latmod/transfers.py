@@ -73,7 +73,7 @@ def closed_sets(
     produced exactly once, because the first arrow on which two closed
     sets differ was decided by distinct branches.  Every arrow before the
     current one is already decided and the exclusion branch is walked
-    first, so the output comes out in canonical (lex_key) order.  It starts
+    first, so the output comes out in canonical order.  It starts
     from extend(0, lo), with every arrow outside hi excluded.
     """
     m = len(lat.arrows)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from latmod import build_lattice
+from latmod import build_lattice, enumerate_weak_equivalence_sets
 
 Pair = tuple[int, int]
 
@@ -196,6 +196,27 @@ def wide_decomposable_close(
     return close_under(step, arrows)
 
 
+def retract_close(
+    n: int, leq: set[Pair], arrows: frozenset[Pair]
+) -> frozenset[Pair]:
+    """Add every retract a -> b of a member x -> y.
+
+    The retract diagram needs maps a -> x -> a and b -> y -> b, that is
+    a <= x <= a and b <= y <= b; its squares commute in any poset.
+    """
+
+    iso = [
+        [a for a in range(n) if (a, x) in leq and (x, a) in leq] for x in range(n)
+    ]
+
+    def step(current):
+        return {
+            (a, b) for x, y in current for a in iso[x] for b in iso[y] if a != b
+        }
+
+    return close_under(step, arrows)
+
+
 def naive_llp(
     all_arrows: list[Pair], leq: set[Pair], against: frozenset[Pair]
 ) -> frozenset[Pair]:
@@ -315,6 +336,21 @@ def naive_is_weak_equivalence_set(
 # cotransfer catalogs and of its triangles, as masks
 
 
+def lex_key(aset) -> int:
+    """Sort key giving lexicographic order on membership bit vectors.
+
+    Bit 0 (the first canonical arrow) is most significant, so the empty
+    set sorts first and the full set last, and the order refines subset
+    containment.  This is the canonical order of every enumeration.
+    """
+    m = len(aset.lattice.arrows)
+    mask = aset.mask
+    out = 0
+    for i in range(m):
+        out = out << 1 | (mask >> i & 1)
+    return out
+
+
 def union_inside(systems: list[int], weq: int) -> int:
     """Union of the systems contained in weq: t_max or k_max by definition."""
     union = 0
@@ -345,6 +381,32 @@ def two_of_three_pass(t, mask: int) -> int:
 
 # ---------------------------------------------------------------------------
 # localization oracles
+
+
+class AmbiguousMinimum(Exception):
+    """No unique smallest weak equivalence set contains the requested arrows."""
+
+
+def smallest_weq_superset(lat, base):
+    """The unique smallest weak equivalence set containing the ArrowSet base.
+
+    A scan of the library's weak equivalence sets; raises AmbiguousMinimum
+    when the minimal candidates are not unique.
+    """
+    candidates = [
+        weq for weq in enumerate_weak_equivalence_sets(lat) if base <= weq
+    ]
+    minimal = [
+        weq
+        for weq in candidates
+        if not any(other < weq for other in candidates)
+    ]
+    if len(minimal) != 1:
+        raise AmbiguousMinimum(
+            f"{len(minimal)} minimal weak equivalence sets contain "
+            f"{base.signature()}"
+        )
+    return minimal[0]
 
 
 def naive_components(n: int, arrows: frozenset[Pair]) -> list[frozenset[int]]:

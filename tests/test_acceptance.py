@@ -14,7 +14,6 @@ from latmod import (
     close_composition,
     close_pullback,
     close_pushout,
-    close_retracts,
     close_two_out_of_three,
     cotransfer_systems,
     derive_classes,
@@ -288,7 +287,6 @@ def test_11_property_bundle(capsys, pentagon, grid21, corpus):
         close_pullback,
         close_pushout,
         close_two_out_of_three,
-        close_retracts,
     )
     for lat in (pentagon, grid21):
         rng = random.Random(29)
@@ -300,7 +298,6 @@ def test_11_property_bundle(capsys, pentagon, grid21, corpus):
                 once = close(small)
                 violations += not (small <= once and close(once) == once)
                 violations += not once <= close(large)
-            violations += close_retracts(small) != small
     catalog = transfer_catalog(pentagon)
     for mask in range(256):
         aset = ArrowSet(pentagon, mask)

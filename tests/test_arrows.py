@@ -7,12 +7,12 @@ import pytest
 from latmod import (
     Arrow,
     ArrowSet,
+    UnknownLabel,
     chain,
     closed_sets,
     close_composition,
     close_pullback,
     close_pushout,
-    close_retracts,
     close_two_out_of_three,
     close_wide_decomposable,
     compose_sets,
@@ -107,7 +107,7 @@ def test_members_may_be_arrows_tuples_or_lists(pentagon):
             assert ArrowSet.of(pentagon, forms).mask == aset.mask
     assert (0, 5) not in ArrowSet.full(pentagon)
     assert (0, 1, 2) not in ArrowSet.full(pentagon)
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownLabel, match="'A' -> '0' is not a relation"):
         ArrowSet.of(pentagon, [(1, 0)])
 
 
@@ -212,13 +212,20 @@ def test_wide_decomposable_closure_fixes_exactly_the_candidates(
             )
 
 
-def test_retract_closure_is_identity(pentagon, grid21):
-    for lat in (pentagon, grid21):
-        rng = random.Random(7)
-        m = len(lat.arrows)
-        for _ in range(64):
-            aset = ArrowSet(lat, rng.randrange(1 << m))
-            assert close_retracts(aset).mask == aset.mask
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((1, 2), "'A' -> 'B' is not a relation"),
+        ((0, 0), "identity '0' -> '0' is not an arrow"),
+        ((0, 9), "no element with index 9"),
+        ("ab", "no element with index 'a'"),
+    ],
+    ids=["incomparable", "identity", "no-element", "not-indices"],
+)
+def test_of_refuses_a_pair_that_names_no_arrow(pentagon, pair, message):
+    with pytest.raises(UnknownLabel) as err:
+        ArrowSet.of(pentagon, [(0, 1), pair])
+    assert str(err.value) == message
 
 
 def test_compose_sets_semantics(pentagon):
@@ -344,7 +351,6 @@ def test_closure_idempotence_and_extensiveness(pentagon, grid21):
         close_pullback,
         close_pushout,
         close_two_out_of_three,
-        close_retracts,
     )
     for lat in (pentagon, grid21):
         rng = random.Random(31337)
@@ -371,7 +377,7 @@ def test_pullback_and_pushout_tables_are_closed_under_themselves(corpus):
                         assert rows[j] & ~(row | 1 << i) == 0
 
 
-@pytest.mark.parametrize("table", ["pull", "push", "kill_llp", "kill_rlp", "retracts"])
+@pytest.mark.parametrize("table", ["pull", "push", "kill_llp", "kill_rlp"])
 def test_byte_tables_match_the_row_unions(corpus, table):
     # grid2x2 has 27 arrows, so its last chunk holds three rows; the
     # one-element lattice has none and no chunks.

@@ -4,7 +4,6 @@ import re
 import pytest
 
 from latmod import (
-    AmbiguousMinimum,
     ArrowSet,
     NotAdmissible,
     NotAWeakEquivalenceSet,
@@ -30,7 +29,6 @@ from latmod import (
     reachable_from_trivial,
     right_localize,
     rlp_dual,
-    smallest_weq_superset,
     t_min,
     verify_model_axioms,
     weq_components,
@@ -41,9 +39,11 @@ from latmod.errors import FixpointError
 
 from conftest import lattice_as_sets
 from oracles import (
+    AmbiguousMinimum,
     naive_golden_reports,
     naive_local_closure,
     naive_localize_weq,
+    smallest_weq_superset,
 )
 
 

@@ -17,7 +17,6 @@ from latmod import (
 )
 from latmod.serialize import (
     builtin_lattice,
-    catalog_dot,
     load_arrow_set,
     load_lattice,
     localization_graph_dot,
@@ -30,6 +29,7 @@ from latmod.serialize import (
     serialize_lattice,
     serialize_localization_graph,
     serialize_model,
+    systems_dot,
 )
 
 
@@ -129,7 +129,8 @@ def test_parse_errors(pentagon, tmp_path):
 
 
 def test_catalog_dot_is_the_containment_hasse_diagram():
-    dot = catalog_dot(transfer_catalog(chain(2)))
+    catalog = transfer_catalog(chain(2))
+    dot = systems_dot(catalog.systems, name="transfer_systems")
     lines = dot.splitlines()
     assert lines[0] == "digraph transfer_systems {"
     assert lines[-1] == "}"

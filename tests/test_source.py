@@ -77,3 +77,20 @@ def test_runs_without_dataclasses_or_an_eager_csv():
         "print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
     )
     assert (exported.returncode, exported.stdout) == (0, f"0 {N5_CSV_SHA256}\n")
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    # __all__ resolves, is sorted without repeats, and names every public
+    # name that __init__ imports from the submodules, and nothing else.
+    init = Path(latmod.__file__)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    names = latmod.__all__
+    assert [n for n in names if not hasattr(latmod, n)] == []
+    assert names == sorted(set(names))
+    assert set(names) == imported

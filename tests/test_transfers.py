@@ -22,10 +22,10 @@ from latmod import (
     tr_meet,
     transfer_catalog,
 )
-from latmod.arrows import _extend, _tables, lex_key
+from latmod.arrows import _extend, _tables
 
 from conftest import lattice_as_sets
-from oracles import all_transfer_systems_naive
+from oracles import all_transfer_systems_naive, lex_key
 
 
 def catalan(n):
