@@ -164,7 +164,7 @@ class _Tables:
     """Precomputed bit tables driving every closure and lifting operator.
 
     Each per-arrow row table that is read as a union of rows (pull, push,
-    kill_llp, kill_rlp) also has a byte table, `<name>_bytes`,
+    kill_llp, kill_rlp, roles) also has a byte table, `<name>_bytes`,
     for _union_bytes.
     """
 
@@ -184,10 +184,13 @@ class _Tables:
         "cover_mask",
         "up",
         "down",
+        "roles",
+        "role_base",
         "pull_bytes",
         "push_bytes",
         "kill_llp_bytes",
         "kill_rlp_bytes",
+        "roles_bytes",
     )
 
     def __init__(self, lat: FiniteLattice) -> None:
@@ -235,6 +238,15 @@ class _Tables:
         self.two_of_three_at = tuple(map(tuple, two_of_three_at))
         self.legs = tuple(legs)
         self.no_rows = (0,) * self.m
+        # Role rows, for _two_of_three_closed: triangle t owns bits 3t (its
+        # first leg), 3t + 1 (its second leg) and 3t + 2 (its composite),
+        # roles[a] holds the bits of a's places, and role_base every 3t.
+        roles = [0] * self.m
+        for i, triple in enumerate(triples):
+            for place, a in enumerate(triple):
+                roles[a] |= 1 << 3 * i + place
+        self.roles = tuple(roles)
+        self.role_base = sum(1 << 3 * t for t in range(len(triples)))
 
         kill_llp = [0] * self.m
         kill_rlp = [0] * self.m
@@ -260,6 +272,7 @@ class _Tables:
         self.push_bytes = _byte_table(self.push)
         self.kill_llp_bytes = _byte_table(self.kill_llp)
         self.kill_rlp_bytes = _byte_table(self.kill_rlp)
+        self.roles_bytes = _byte_table(self.roles)
 
 
 def _byte_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -412,6 +425,20 @@ def is_wide_decomposable(aset: ArrowSet) -> bool:
         if mask & composite and not (mask & first and mask & second):
             return False
     return True
+
+
+def _two_of_three_closed(t: _Tables, mask: int) -> bool:
+    """Whether no triangle holds exactly two of its three arrows in mask.
+
+    That is closure under two-out-of-three, read from one union of role
+    rows: bit 3t of roles, roles >> 1 and roles >> 2 says whether mask
+    holds the first leg, the second leg and the composite of triangle t.
+    Exactly two are held where some is and their parity is even.
+    """
+    roles = _union_bytes(t.roles_bytes, mask)
+    base = t.role_base
+    first, second, composite = roles & base, roles >> 1 & base, roles >> 2 & base
+    return not (first | second | composite) & ~(first ^ second ^ composite)
 
 
 def is_transfer_system(aset: ArrowSet) -> bool:

@@ -24,7 +24,6 @@ from .models import (
     ModelStructure,
     derive_classes,
     enumerate_model_structures,
-    _model_table,
 )
 
 
@@ -141,13 +140,21 @@ def golden_arrow_set(model: ModelStructure, f: Arrow) -> ArrowSet:
 
 
 def _localized_weq(lat: FiniteLattice, weq: int, k: int, side: str) -> int:
-    # The lattice's one localization map (W, arrow, side) -> W'.
-    localized = _cached(lat, "localized_weq", dict)
-    key = (weq, k, side)
-    new_weq = localized.get(key)
-    if new_weq is None:
-        new_weq = localized[key] = _weq_fixpoint(_tables(lat), weq, k, side)
+    # The lattice's one localization map (W, arrow, side) -> W', laid out
+    # per side as W -> a row whose entry k is W' at arrow k, 0 until that
+    # closure has run (W' holds arrow k, so it is never 0).
+    rows = _cached(lat, "localized_weq", _localization_map)[side]
+    row = rows.get(weq)
+    if row is None:
+        row = rows[weq] = [0] * len(lat.arrows)
+    new_weq = row[k]
+    if not new_weq:
+        new_weq = row[k] = _weq_fixpoint(_tables(lat), weq, k, side)
     return new_weq
+
+
+def _localization_map() -> dict[str, dict[int, list[int]]]:
+    return {"left": {}, "right": {}}
 
 
 def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
@@ -183,46 +190,51 @@ def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
     return _extend(t.two_of_three_at, rows, weq, 1 << k)
 
 
-def _where(model: ModelStructure, f: Arrow, side: str) -> str:
-    name = model.lattice.arrow_name(f)
-    return f"{side} localization of W={model.weq.signature()} at {name}: "
+def _kept_af(side: str, weq: int, af: int, fib: int) -> int:
+    # AF' for the localized weak equivalences weq, as a mask: right
+    # localization keeps F, so AF' = W' & F; left keeps the cofibrations
+    # and so AF.
+    return weq & fib if side == "right" else af
 
 
-def _kept_af(model: ModelStructure, weq: int, side: str) -> int:
-    # AF' for the localized weak equivalences weq: right localization
-    # keeps F, so AF' = W' & F; left keeps the cofibrations and so AF.
-    if side == "right":
-        return weq & model.fib.mask
-    return model.acyclic_fib.mask
-
-
-def _check_kept(
-    model: ModelStructure, localized: ModelStructure, f: Arrow, side: str
-) -> None:
+def _not_kept(model: ModelStructure, f: Arrow, side: str) -> FixpointError:
     # Right localization keeps the fibrations, left the cofibrations.
-    if side == "right":
-        kept, name = localized.fib.mask == model.fib.mask, "fibrations"
-    else:
-        kept, name = localized.cof.mask == model.cof.mask, "cofibrations"
-    if not kept:
-        raise FixpointError(_where(model, f, side) + f"failed to preserve {name}")
+    name = model.lattice.arrow_name(f)
+    kept = "fibrations" if side == "right" else "cofibrations"
+    return FixpointError(
+        f"{side} localization of W={model.weq.signature()} at {name}: "
+        f"failed to preserve {kept}"
+    )
 
 
 def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
-    # W' comes from the shared map, AF' from the model table of W', both
-    # read by mask.  A W' that is not a weak equivalence set raises on
-    # its table; an AF' the table lacks is derived with the check on,
-    # which raises that pair's error.
-    lat, weq = model.lattice, model.weq.mask
+    # One unpack of the model and, warm, three dict lookups: W' in W's row
+    # of the side's localization map, the model table of W' by its mask,
+    # and AF' in that table.  A map miss runs the closure; a W' with no
+    # table yet, or an AF' its table lacks, goes to derive_classes with
+    # the check on, which builds the table or raises that pair's error.
+    lat, weq, af, cof, _, fib = model
+    w = weq.mask
     k = lat.arrow_index(f)
-    if weq >> k & 1:
+    if w >> k & 1:
         return model
-    weq = _localized_weq(lat, weq, k, side)
-    af = _kept_af(model, weq, side)
-    localized = _model_table(lat, weq).get(af)
+    cache = lat._cache
+    maps = cache.get("localized_weq")
+    row = maps[side].get(w) if maps else None
+    new_weq = row[k] if row else 0
+    if not new_weq:
+        new_weq = _localized_weq(lat, w, k, side)
+    new_af = _kept_af(side, new_weq, af.mask, fib.mask)
+    table = cache.get(("model_table", new_weq))
+    localized = None if table is None else table.get(new_af)
     if localized is None:
-        localized = derive_classes(ArrowSet(lat, weq), ArrowSet(lat, af))
-    _check_kept(model, localized, lat.arrows[k], side)
+        localized = derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))
+    if side == "right":
+        kept = localized.fib.mask == fib.mask
+    else:
+        kept = localized.cof.mask == cof.mask
+    if not kept:
+        raise _not_kept(model, lat.arrows[k], side)
     return localized
 
 
@@ -296,42 +308,50 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     Edges localize at covers outside the weak equivalences only; a cover
     already weakly equivalent gives the identity localization, so no self
     loops appear.  The localized weak equivalences depend on (W, cover,
-    side) alone, so each fixpoint runs once, into the lattice's shared
-    localization map that single localizations and golden reports read.
-    Each edge reads its target from the enumeration by the key (W', AF'):
-    AF' = W' & F on the right, the old AF on the left.  The enumeration
-    holds exactly the pairs derive_classes admits, so a key it lacks is
-    derived with the check on, which raises the error that derivation
-    gives.
+    side) alone, so the loop runs by W: it reads each W' once from the
+    lattice's shared localization map (filling it on a miss, for single
+    localizations and golden reports to read), then walks W's models.
+    Each edge reads its target by the key (W', AF'): AF' = W' & F on the
+    right, the old AF on the left.  The enumeration holds exactly the
+    pairs derive_classes admits, so a key it lacks is derived with the
+    check on, which raises the error that derivation gives.  Edges come
+    out ordered by source, side, arrow index, as the models are ordered
+    by W and each W's moves by side and arrow.
     """
     structures = enumerate_model_structures(lat)
-    position = {m.key(): i for i, m in enumerate(structures)}
-    trivial = position[(0, 0)]
-    arrow_pos = lat.arrow_position
-    covers = [(f, arrow_pos[f]) for f in lat.covers]
-    found: list[tuple[int, str, int, int]] = []
+    # Per W mask, each AF mask's index in the enumeration, in order.
+    index: dict[int, dict[int, int]] = {}
     for i, model in enumerate(structures):
-        weq = model.weq.mask
-        for f, k in covers:
-            if weq >> k & 1:
-                continue
-            for side in ("left", "right"):
-                new_weq = _localized_weq(lat, weq, k, side)
-                af = _kept_af(model, new_weq, side)
-                j = position.get((new_weq, af))
-                if j is None:
-                    derived = derive_classes(
-                        ArrowSet(lat, new_weq), ArrowSet(lat, af)
-                    )
-                    j = position[derived.key()]
-                _check_kept(model, structures[j], f, side)
-                found.append((i, side, k, j))
-    found.sort()
+        index.setdefault(model.weq.mask, {})[model.acyclic_fib.mask] = i
+    # The class each side keeps: the fibrations on the right, the
+    # cofibrations on the left, as masks by structure index.
+    keeps = {
+        "left": [model.cof.mask for model in structures],
+        "right": [model.fib.mask for model in structures],
+    }
+    fibs = keeps["right"]
     arrows = lat.arrows
-    edges = tuple(
-        LocalizationEdge(i, j, side, arrows[k]) for i, side, k, j in found
-    )
-    return LocalizationGraph(structures, edges, trivial)
+    covers = sorted(map(lat.arrow_position.__getitem__, lat.covers))
+    edges: list[LocalizationEdge] = []
+    for weq, members in index.items():
+        moves = []
+        for side in ("left", "right"):
+            for k in covers:
+                if not weq >> k & 1:
+                    new_weq = _localized_weq(lat, weq, k, side)
+                    targets = index.get(new_weq, {})
+                    moves.append((side, k, new_weq, targets, keeps[side]))
+        for af, i in members.items():
+            for side, k, new_weq, targets, kept in moves:
+                new_af = _kept_af(side, new_weq, af, fibs[i])
+                j = targets.get(new_af)
+                if j is None:
+                    derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))
+                    j = index[new_weq][new_af]
+                if kept[j] != kept[i]:
+                    raise _not_kept(structures[i], arrows[k], side)
+                edges.append(LocalizationEdge(i, j, side, arrows[k]))
+    return LocalizationGraph(structures, tuple(edges), index[0][0])
 
 
 def _search(adjacency, start: int) -> frozenset[int]:

@@ -28,6 +28,7 @@ from .arrows import (
     _llp,
     _rlp,
     _tables,
+    _two_of_three_closed,
 )
 from .errors import (
     MaximalityViolation,
@@ -223,6 +224,7 @@ def _model_table(
     # its table is absent, and a W that is not a weak equivalence set
     # raises and leaves no table behind.  The table's structures share
     # weq, the caller's ArrowSet of W, built here only when none is given.
+    # A warm localization reads the same entry directly, by this key.
     return _cached(
         lat, ("model_table", mask), _derive_table, lat, mask, weq, check
     )
@@ -262,50 +264,53 @@ def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
 def verify_model_axioms(model: ModelStructure) -> bool:
     """Check the model structure axioms directly, without the interval.
 
-    Verifies two-out-of-three for W, both lifting identities of both weak
-    factorization systems, the definitional identities tying the five
-    classes together, and the factorization of every arrow through
-    (cofibration, acyclic fibration) and through (acyclic cofibration,
-    fibration).  There is no retract check: a retract diagram a -> x -> a
-    in a poset forces a = x, so every class is closed under retracts.
+    Verifies the lifting identities of both weak factorization systems,
+    llp(AF) = C, rlp(C) = AF, llp(F) = AC and rlp(AC) = F, the class
+    identities AF <= W, AC = C & W and AF = F & W, and two-out-of-three
+    for W.  A class with a bit at or above the arrow count names no arrow
+    and fails; classes from different lattices raise the ValueError of
+    mixing them in a set operation.
 
-    Four checks follow from the others, so no structure fails one of them
-    alone; they stay as cheap guards.  In a poset, lifting g = p c
-    against its leg p, or the leg c against g, makes that leg an identity:
+    No retract check is needed: a retract diagram a -> x -> a in a poset
+    forces a = x, so every class is closed under retracts.  Nor is a
+    factorization check: every lifting pair L = llp(R), R = rlp(L) factors
+    each arrow as an L leg then an R leg, identity legs allowed, and the
+    identities above make (C, AF) and (AC, F) such pairs.
+      - R = rlp(L) is closed under composition and pullback, so for
+        f: x -> y the z with x <= z <= y and z -> y in R or an identity are
+        closed under meets: for two of them z1, z2, the pullback
+        z1 & z2 -> z2 of z1 -> y is in R, and so is its composite with
+        z2 -> y.
+      - The least such z splits f as x -> z then z -> y, and x -> z is in
+        llp(R) = L: for a -> b in R with x <= a and z <= b, the pullback
+        a & z -> z is in R, so is a & z -> y, and z <= a & z <= a by the
+        choice of z, which is the lift.
+
+    Of these ten axioms, the eight checked and the two factorizations,
+    five follow from the others, so no structure fails one of them alone:
+    the two factorizations, by the proof above, and three checks that stay
+    as cheap guards.  In a poset, lifting g = p c against its leg p, or
+    the leg c against g, makes that leg an identity:
       - llp(AF) = C: C <= llp(rlp(C)) = llp(AF); g in llp(AF) factors as
         p c with c in C, p in AF, and lifting g against p gives g = c.
       - rlp(AC) = F: dually, from llp(F) = AC and the (AC, F) factorization.
       - AF = F & W: AF = rlp(C) <= rlp(AC) = F and AF <= W; f in F & W
         factors as p c with c in C, p in AF, two-out-of-three puts c in
         AC = C & W, and lifting c against f gives f = p.
-      - the (C, AF) factorization: AF = rlp(C) is closed under composition
-        and pullback, so for f: x -> y the z with x <= z <= y and z -> y in
-        AF or identity are closed under meets.  The least, z, gives f as
-        x -> z then z -> y, and x -> z is in llp(AF) = C: for a -> b in AF
-        with x <= a and z <= b, the pullback a & z -> z is in AF, so is
-        a & z -> y, and z <= a & z <= a by the choice of z.
     """
     lat, weq, af, cof, ac, fib = model
+    if not (lat is weq.lattice is af.lattice is cof.lattice is ac.lattice
+            is fib.lattice):
+        for aset in model[1:]:
+            ArrowSet.empty(lat)._compatible(aset)  # raises for the stray one
     t = _tables(lat)
     weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
+    if (weq | af | cof | ac | fib) & ~t.full:
+        return False
     if _llp(t, af) != cof or _rlp(t, cof) != af:
         return False
     if _llp(t, fib) != ac or _rlp(t, ac) != fib:
         return False
     if af & ~weq or ac != cof & weq or af != fib & weq:
         return False
-    # One pass over the composable triples.  W is closed under
-    # two-out-of-three exactly when no triangle holds two of its arrows
-    # but not the third.  Every arrow must split as a lower-class leg then
-    # an upper-class leg, identity legs allowed, so each union collects
-    # both classes and every composite of such legs (as _composites does).
-    lower, upper = cof | af, ac | fib
-    for (first, second, composite), triangle in zip(t.triples, t.triangles):
-        has = weq & triangle
-        if has != triangle and has & (has - 1):
-            return False
-        if cof & first and af & second:
-            lower |= composite
-        if ac & first and fib & second:
-            upper |= composite
-    return lower == t.full and upper == t.full
+    return _two_of_three_closed(t, weq)

@@ -27,7 +27,7 @@ from latmod import (
     product,
     rlp_dual,
 )
-from latmod.arrows import _extend, _tables, _union_bytes
+from latmod.arrows import _extend, _tables, _two_of_three_closed, _union_bytes
 from latmod.lattice import _union_rows
 
 from conftest import lattice_as_sets
@@ -39,6 +39,7 @@ from oracles import (
     naive_rlp,
     pullback_close,
     pushout_close,
+    two_of_three_pass,
     two_out_of_three_close,
     wide_decomposable_close,
 )
@@ -377,7 +378,7 @@ def test_pullback_and_pushout_tables_are_closed_under_themselves(corpus):
                         assert rows[j] & ~(row | 1 << i) == 0
 
 
-@pytest.mark.parametrize("table", ["pull", "push", "kill_llp", "kill_rlp"])
+@pytest.mark.parametrize("table", ["pull", "push", "kill_llp", "kill_rlp", "roles"])
 def test_byte_tables_match_the_row_unions(corpus, table):
     # grid2x2 has 27 arrows, so its last chunk holds three rows; the
     # one-element lattice has none and no chunks.
@@ -397,3 +398,14 @@ def test_byte_tables_match_the_row_unions(corpus, table):
         masks += [rng.getrandbits(t.m) for _ in range(200)]
         for mask in masks:
             assert _union_bytes(chunks, mask) == _union_rows(rows, mask)
+
+
+def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
+    # Every mask: no triangle holds exactly two of its arrows exactly when
+    # one pass completing such triangles adds nothing.
+    for lat in (pentagon, square, grid21, chain(5)):
+        t = _tables(lat)
+        assert t.role_base.bit_length() == 3 * len(t.triangles) - 2
+        for mask in range(1 << t.m):
+            want = two_of_three_pass(t, mask) == mask
+            assert _two_of_three_closed(t, mask) == want

@@ -240,8 +240,8 @@ def test_graph_checks_that_left_localization_keeps_cofibrations(
     # change the cofibrations; a left rule that drops AF must be refused.
     kept_af = bousfield._kept_af
 
-    def dropped(model, weq, side):
-        return 0 if side == "left" else kept_af(model, weq, side)
+    def dropped(side, weq, af, fib):
+        return 0 if side == "left" else kept_af(side, weq, af, fib)
 
     monkeypatch.setattr(bousfield, "_kept_af", dropped)
     model = enumerate_model_structures(pentagon)[5]

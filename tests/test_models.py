@@ -606,7 +606,13 @@ def axiom_failures(t, weq, af, cof, ac, fib):
     return {name for name, ok in checks.items() if not ok}
 
 
-IMPLIED = {"rlp(AC) = F", "llp(AF) = C", "AF = F & W", "(C, AF) factors"}
+IMPLIED = {
+    "rlp(AC) = F",
+    "llp(AF) = C",
+    "AF = F & W",
+    "(C, AF) factors",
+    "(AC, F) factors",
+}
 
 
 def test_the_implied_axiom_checks_never_fail_alone():
@@ -614,9 +620,10 @@ def test_the_implied_axiom_checks_never_fail_alone():
     # follows from the others, so no hand-built structure fails one of
     # them alone.  Searched here over every W closed under
     # two-out-of-three and every C and F with AF = rlp(C) and AC = llp(F)
-    # (both kept by all four removals), where C is llp-closed or F
-    # rlp-closed (otherwise two IMPLIED checks fail).  Every set of arrows
-    # in a poset is closed under retracts, so no C or F is left out.
+    # (a structure failing one IMPLIED check alone has both), where C is
+    # llp-closed or F rlp-closed (otherwise two IMPLIED checks fail).
+    # Every set of arrows in a poset is closed under retracts, so no C or
+    # F is left out.
     for lat in (chain(3), product(chain(1), chain(1))):
         t = _tables(lat)
         every = range(1 << len(lat.arrows))
@@ -639,6 +646,64 @@ def test_the_implied_axiom_checks_never_fail_alone():
                     assert verify_model_axioms(model) == (not failed)
                     seen += not failed
         assert seen == len(enumerate_model_structures(lat))
+
+
+@pytest.mark.parametrize(
+    "build, pairs",
+    [(n5, 26), (lambda: product(chain(2), chain(1)), 68), (lambda: chain(5), 132),
+     (cube, 450)],
+    ids=["n5", "grid2x1", "chain5", "cube"],
+)
+def test_every_lifting_pair_factors(build, pairs):
+    # verify_model_axioms checks no factorization, as every lifting pair
+    # L = llp(R), R = rlp(L) factors each arrow as L then R.  The R with
+    # rlp(llp(R)) = R are the rlp images, the intersections of the
+    # rlp({f}); there are as many as transfer systems.
+    lat = build()
+    t = _tables(lat)
+    closed = {t.full}
+    for i in range(t.m):
+        basic = _rlp(t, 1 << i)
+        closed |= {r & basic for r in closed}
+    assert len(closed) == len(transfer_catalog(lat)) == pairs
+    for r in closed:
+        left = _llp(t, r)
+        assert _rlp(t, left) == r
+        assert _composites(t, r, left) == t.full
+
+
+def test_verify_refuses_an_arrow_bit_past_the_last_arrow(pentagon, square):
+    # An ArrowSet takes any int; a bit at or above the arrow count names
+    # no arrow, and a negative mask sets all of them.
+    lat = pentagon
+    trivial = enumerate_model_structures(lat)[0]
+    assert verify_model_axioms(trivial)
+    assert not verify_model_axioms(trivial._replace(weq=ArrowSet(lat, 1 << 8)))
+    classes = ("weq", "acyclic_fib", "cof", "acyclic_cof", "fib")
+    for lat in (pentagon, square):
+        past = 1 << len(lat.arrows)
+        for model in enumerate_model_structures(lat):
+            for name in classes:
+                mask = getattr(model, name).mask
+                for bad in (mask | past, mask | past << 3, -1):
+                    changed = model._replace(**{name: ArrowSet(lat, bad)})
+                    assert not verify_model_axioms(changed)
+
+
+def test_verify_refuses_classes_from_another_lattice():
+    # Two n5() builds are equal in shape but distinct lattices, so a
+    # structure that mixes them raises, as mixing them in a set would.
+    lat, other = n5(), n5()
+    fields = ("lattice", "weq", "acyclic_fib", "cof", "acyclic_cof", "fib")
+    for model in enumerate_model_structures(lat)[::7]:
+        foreign = ModelStructure(
+            other, *(ArrowSet(other, getattr(model, f).mask) for f in fields[1:])
+        )
+        assert verify_model_axioms(foreign)
+        for name in fields:
+            mixed = model._replace(**{name: getattr(foreign, name)})
+            with pytest.raises(ValueError, match="belong to different lattices"):
+                verify_model_axioms(mixed)
 
 
 def test_axioms_hold_for_every_enumerated_model(pentagon, square):
