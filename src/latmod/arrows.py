@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .errors import UnknownLabel
 from .lattice import (
     Arrow,
     FiniteLattice,
@@ -138,7 +139,7 @@ class ArrowSet:
         return [[labels[f.source], labels[f.target]] for f in self]
 
     def signature(self) -> str:
-        names = _cached(self.lattice, "arrow_names", _arrow_names, self.lattice)
+        names = _cached(self.lattice._cache, "arrow_names", _arrow_names, self.lattice)
         mask = self.mask
         inner = ", ".join([name for i, name in enumerate(names) if mask >> i & 1])
         return "{" + inner + "}"
@@ -165,7 +166,8 @@ class _Tables:
 
     Each per-arrow row table that is read as a union of rows (pull, push,
     kill_llp, kill_rlp, roles) also has a byte table, `<name>_bytes`,
-    for _union_bytes.
+    for _union_bytes; axiom_bytes zips three of them per byte, with its
+    bit offset, for the one pass of models.verify_model_axioms.
     """
 
     __slots__ = (
@@ -191,6 +193,7 @@ class _Tables:
         "kill_llp_bytes",
         "kill_rlp_bytes",
         "roles_bytes",
+        "axiom_bytes",
     )
 
     def __init__(self, lat: FiniteLattice) -> None:
@@ -273,6 +276,8 @@ class _Tables:
         self.kill_llp_bytes = _byte_table(self.kill_llp)
         self.kill_rlp_bytes = _byte_table(self.kill_rlp)
         self.roles_bytes = _byte_table(self.roles)
+        chunks = zip(self.kill_llp_bytes, self.kill_rlp_bytes, self.roles_bytes)
+        self.axiom_bytes = tuple((8 * c, *byte) for c, byte in enumerate(chunks))
 
 
 def _byte_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -311,7 +316,18 @@ def _mask_of(pos: dict[Arrow, int], arrows: Iterable[Arrow]) -> int:
 
 
 def _tables(lat: FiniteLattice) -> _Tables:
-    return _cached(lat, "tables", _Tables, lat)
+    return _cached(lat._cache, "tables", _Tables, lat)
+
+
+def _checked(aset: ArrowSet) -> _Tables:
+    # The tables, once every bit of aset names an arrow: ArrowSet takes any
+    # int, and a stray bit would index past the rows or be dropped.
+    t = _tables(aset.lattice)
+    stray = aset.mask & ~t.full
+    if stray:
+        bit = (stray & -stray).bit_length() - 1
+        raise UnknownLabel(f"bit {bit} names no arrow: the lattice has {t.m} arrows")
+    return t
 
 
 def _extend(rules, rows, mask: int, new: int) -> int:
@@ -347,7 +363,7 @@ def _extend(rules, rows, mask: int, new: int) -> int:
 
 def close_composition(aset: ArrowSet) -> ArrowSet:
     """Smallest superset closed under composition of composable pairs."""
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return ArrowSet(aset.lattice, _extend(t.compose_at, t.no_rows, 0, aset.mask))
 
 
@@ -357,7 +373,7 @@ def close_pullback(aset: ArrowSet) -> ArrowSet:
     One pass suffices: a pullback of a pullback of f is a pullback of f
     (meets are associative), so each pull row is closed under pull.
     """
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return ArrowSet(aset.lattice, aset.mask | _union_bytes(t.pull_bytes, aset.mask))
 
 
@@ -366,13 +382,13 @@ def close_pushout(aset: ArrowSet) -> ArrowSet:
 
     One pass suffices, dually to close_pullback (joins are associative).
     """
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return ArrowSet(aset.lattice, aset.mask | _union_bytes(t.push_bytes, aset.mask))
 
 
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     """Close under composition and both cancellation rules."""
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return ArrowSet(
         aset.lattice, _extend(t.two_of_three_at, t.no_rows, 0, aset.mask)
     )
@@ -384,7 +400,7 @@ def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
     Closes under both directions of every composable pair at once: both
     legs force the composite, and a composite forces both of its legs.
     """
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return ArrowSet(aset.lattice, _extend(t.compose_at, t.legs, 0, aset.mask))
 
 
@@ -395,9 +411,8 @@ def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
     closure is applied beyond the single composition.
     """
     low = upper._compatible(lower)
-    return ArrowSet(
-        upper.lattice, _composites(_tables(upper.lattice), upper.mask, low)
-    )
+    _checked(lower)
+    return ArrowSet(upper.lattice, _composites(_checked(upper), upper.mask, low))
 
 
 def _composites(t: _Tables, high: int, low: int) -> int:
@@ -413,13 +428,13 @@ def _composites(t: _Tables, high: int, low: int) -> int:
 
 
 def is_composition_closed(aset: ArrowSet) -> bool:
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return _extend(t.compose_at, t.no_rows, 0, aset.mask) == aset.mask
 
 
 def is_wide_decomposable(aset: ArrowSet) -> bool:
     """True when every member's two-step factorizations stay inside the set."""
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     mask = aset.mask
     for first, second, composite in t.triples:
         if mask & composite and not (mask & first and mask & second):
@@ -427,16 +442,14 @@ def is_wide_decomposable(aset: ArrowSet) -> bool:
     return True
 
 
-def _two_of_three_closed(t: _Tables, mask: int) -> bool:
-    """Whether no triangle holds exactly two of its three arrows in mask.
+def _two_of_three_closed(base: int, roles: int) -> bool:
+    """Whether a mask is closed under two-out-of-three, from its role union.
 
-    That is closure under two-out-of-three, read from one union of role
-    rows: bit 3t of roles, roles >> 1 and roles >> 2 says whether mask
-    holds the first leg, the second leg and the composite of triangle t.
-    Exactly two are held where some is and their parity is even.
+    roles is the union of the mask's role rows: bit 3t of roles, roles >> 1
+    and roles >> 2 says whether the mask holds the first leg, the second
+    leg and the composite of triangle t; base = role_base holds each 3t.
+    No triangle may hold exactly two: some, with even parity.
     """
-    roles = _union_bytes(t.roles_bytes, mask)
-    base = t.role_base
     first, second, composite = roles & base, roles >> 1 & base, roles >> 2 & base
     return not (first | second | composite) & ~(first ^ second ^ composite)
 
@@ -465,24 +478,24 @@ def generate_transfer(aset: ArrowSet) -> ArrowSet:
     along z.  The tests check it against that form and against the
     intersection of all containing systems.
     """
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return ArrowSet(aset.lattice, _extend(t.compose_at, t.pull, 0, aset.mask))
 
 
 def generate_cotransfer(aset: ArrowSet) -> ArrowSet:
     """Smallest cotransfer system containing the given arrows."""
-    t = _tables(aset.lattice)
+    t = _checked(aset)
     return ArrowSet(aset.lattice, _extend(t.compose_at, t.push, 0, aset.mask))
 
 
 def llp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the left lifting property against every member."""
-    return ArrowSet(aset.lattice, _llp(_tables(aset.lattice), aset.mask))
+    return ArrowSet(aset.lattice, _llp(_checked(aset), aset.mask))
 
 
 def rlp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the right lifting property against every member."""
-    return ArrowSet(aset.lattice, _rlp(_tables(aset.lattice), aset.mask))
+    return ArrowSet(aset.lattice, _rlp(_checked(aset), aset.mask))
 
 
 def _llp(t: _Tables, mask: int) -> int:

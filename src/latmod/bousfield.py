@@ -38,7 +38,7 @@ def weq_components(weq: ArrowSet) -> tuple[tuple[int, ...], ...]:
 
 def _blocks(weq: ArrowSet) -> tuple[int, ...]:
     # Element masks: the block of each element, kept per W.
-    return _cached(weq.lattice, ("weq_blocks", weq.mask), _block_masks, weq)
+    return _cached(weq.lattice._cache["weq_blocks"], weq.mask, _block_masks, weq)
 
 
 def _block_masks(weq: ArrowSet) -> tuple[int, ...]:
@@ -83,19 +83,27 @@ def golden_arrows(
     elements of the old component of its source lying under some target,
     and the golden arrows pair them up (incomparable pairs are dropped).
     Localizing at an existing weak equivalence yields no reports.  The
-    reports depend on (W, cover) alone and are kept per lattice.
+    reports depend on (W, cover) alone: the lattice keeps a row per W,
+    whose entry k holds them once arrow k has passed the checks (None
+    until then), so a warm call reads the entry before any check.
     """
-    lat = model.lattice
+    lat, weq = model[0], model[1]
+    try:
+        reports = lat._cache["golden"][weq.mask][lat.arrow_position[f]]
+    except (KeyError, TypeError):  # no row for W, or f no hashable arrow
+        reports = None
+    if reports is not None:
+        return reports
     try:
         k = lat.arrow_index(f)
     except UnknownLabel as err:
         raise NotShort(f"{err}, so not a cover") from None
     if not _tables(lat).cover_mask >> k & 1:
         raise NotShort(f"{lat.arrow_name(lat.arrows[k])} is not a cover")
-    weq = model.weq
-    if weq.mask >> k & 1:
-        return ()
-    return _cached(lat, ("golden", weq.mask, k), _golden_reports, weq, k)
+    row = lat._cache["golden"].setdefault(weq.mask, [None] * len(lat.arrows))
+    if row[k] is None:
+        row[k] = () if weq.mask >> k & 1 else _golden_reports(weq, k)
+    return row[k]
 
 
 def _golden_reports(weq: ArrowSet, k: int) -> tuple[GoldenArrowReport, ...]:
@@ -143,7 +151,7 @@ def _localized_weq(lat: FiniteLattice, weq: int, k: int, side: str) -> int:
     # The lattice's one localization map (W, arrow, side) -> W', laid out
     # per side as W -> a row whose entry k is W' at arrow k, 0 until that
     # closure has run (W' holds arrow k, so it is never 0).
-    rows = _cached(lat, "localized_weq", _localization_map)[side]
+    rows = lat._cache["localized_weq"][side]
     row = rows.get(weq)
     if row is None:
         row = rows[weq] = [0] * len(lat.arrows)
@@ -151,10 +159,6 @@ def _localized_weq(lat: FiniteLattice, weq: int, k: int, side: str) -> int:
     if not new_weq:
         new_weq = row[k] = _weq_fixpoint(_tables(lat), weq, k, side)
     return new_weq
-
-
-def _localization_map() -> dict[str, dict[int, list[int]]]:
-    return {"left": {}, "right": {}}
 
 
 def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
@@ -190,13 +194,6 @@ def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
     return _extend(t.two_of_three_at, rows, weq, 1 << k)
 
 
-def _kept_af(side: str, weq: int, af: int, fib: int) -> int:
-    # AF' for the localized weak equivalences weq, as a mask: right
-    # localization keeps F, so AF' = W' & F; left keeps the cofibrations
-    # and so AF.
-    return weq & fib if side == "right" else af
-
-
 def _not_kept(model: ModelStructure, f: Arrow, side: str) -> FixpointError:
     # Right localization keeps the fibrations, left the cofibrations.
     name = model.lattice.arrow_name(f)
@@ -208,32 +205,31 @@ def _not_kept(model: ModelStructure, f: Arrow, side: str) -> FixpointError:
 
 
 def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
-    # One unpack of the model and, warm, three dict lookups: W' in W's row
-    # of the side's localization map, the model table of W' by its mask,
-    # and AF' in that table.  A map miss runs the closure; a W' with no
-    # table yet, or an AF' its table lacks, goes to derive_classes with
+    # Warm, int-keyed dict reads: W' in W's row of the side's localization
+    # map, then W''s model table and AF' in it; models are read by index
+    # (AF 2, C 3, F 5).  A miss runs the closure, or derive_classes with
     # the check on, which builds the table or raises that pair's error.
-    lat, weq, af, cof, _, fib = model
-    w = weq.mask
-    k = lat.arrow_index(f)
+    lat, w = model[0], model[1].mask
+    try:
+        k = lat.arrow_position[f]
+    except (KeyError, TypeError):  # not an arrow, or unhashable
+        k = lat.arrow_index(f)
     if w >> k & 1:
         return model
     cache = lat._cache
-    maps = cache.get("localized_weq")
-    row = maps[side].get(w) if maps else None
+    row = cache["localized_weq"][side].get(w)
     new_weq = row[k] if row else 0
     if not new_weq:
         new_weq = _localized_weq(lat, w, k, side)
-    new_af = _kept_af(side, new_weq, af.mask, fib.mask)
-    table = cache.get(("model_table", new_weq))
+    # Right localization keeps F, so AF' = W' & F; left keeps C and AF.
+    slot = 5 if side == "right" else 3
+    kept = model[slot].mask
+    new_af = new_weq & kept if slot == 5 else model[2].mask
+    table = cache["model_tables"].get(new_weq)
     localized = None if table is None else table.get(new_af)
     if localized is None:
         localized = derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))
-    if side == "right":
-        kept = localized.fib.mask == fib.mask
-    else:
-        kept = localized.cof.mask == cof.mask
-    if not kept:
+    if localized[slot].mask != kept:
         raise _not_kept(model, lat.arrows[k], side)
     return localized
 
@@ -343,7 +339,7 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
                     moves.append((side, k, new_weq, targets, keeps[side]))
         for af, i in members.items():
             for side, k, new_weq, targets, kept in moves:
-                new_af = _kept_af(side, new_weq, af, fibs[i])
+                new_af = new_weq & fibs[i] if side == "right" else af
                 j = targets.get(new_af)
                 if j is None:
                     derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))

@@ -281,16 +281,10 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     lat = load_lattice(args.lattice)
     model = load_model(lat, args.model)
     at = _parse_at(lat, args.at)
-    if args.side == "left":
-        result = left_localize(model, at)
-        payload: dict[str, Any] = {"model": serialize_model(result)}
-    else:
-        result = right_localize(model, at)
-        payload = {"model": serialize_model(result)}
-        if at in lat.covers:
-            payload["golden_arrows"] = serialize_golden_reports(
-                golden_arrows(model, at)
-            )
+    localize = left_localize if args.side == "left" else right_localize
+    payload: dict[str, Any] = {"model": serialize_model(localize(model, at))}
+    if args.side == "right" and at in lat.covers:
+        payload["golden_arrows"] = serialize_golden_reports(golden_arrows(model, at))
     _emit_json(payload, args.out)
     return 0
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
-from functools import cached_property
 from typing import Any, NamedTuple
 
 from .errors import CycleError, DuplicateLabel, NotALattice, UnknownLabel
@@ -45,7 +44,19 @@ class FiniteLattice:
         self._meet = tuple(map(tuple, meet_table))
         self._join = tuple(map(tuple, join_table))
         self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
-        self._cache: dict[Hashable, Any] = {}
+        # Plain attributes, as a cached property's write to __dict__ slows
+        # every later attribute read: the non-identity relations in
+        # (source, target) order, their positions, and the covers.
+        self.arrows = tuple(
+            Arrow(s, t) for s, row in enumerate(up) for t in _bits(row) if s != t
+        )
+        self.arrow_position = {f: i for i, f in enumerate(self.arrows)}
+        self.covers = tuple(Arrow(*st) for st in hasse_covers(range(self.n), self.le))
+        # Kept computations (see _cached), and per W kind one dict keyed by
+        # W's mask, that warm queries read directly.
+        self._cache: dict[Hashable, Any] = {
+            "model_tables": {}, "golden": {}, "weq_blocks": {},
+            "localized_weq": {"left": {}, "right": {}}}
 
     # Identity-based equality: lattices are immutable and shared by reference.
     __hash__ = object.__hash__
@@ -125,24 +136,6 @@ class FiniteLattice:
 
     def arrow_name(self, f: Arrow) -> str:
         return f"{self.labels[f.source]}->{self.labels[f.target]}"
-
-    # -- derived structure ---------------------------------------------
-
-    @cached_property
-    def covers(self) -> tuple[Arrow, ...]:
-        """Indecomposable relations x < y, in (source, target) order."""
-        return tuple(Arrow(s, t) for s, t in hasse_covers(range(self.n), self.le))
-
-    @cached_property
-    def arrows(self) -> tuple[Arrow, ...]:
-        """All non-identity relations, in (source, target) order."""
-        return tuple(
-            Arrow(s, t) for s, up in enumerate(self._up) for t in _bits(up) if s != t
-        )
-
-    @cached_property
-    def arrow_position(self) -> dict[Arrow, int]:
-        return {f: i for i, f in enumerate(self.arrows)}
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +309,14 @@ def _union_rows(rows: Sequence[int], mask: int) -> int:
     return out
 
 
-def _cached(lat: FiniteLattice, key: Hashable, build: Callable, *args: Any) -> Any:
-    """build(*args), computed once per key and kept on lat, so freed with it.
+def _cached(cache: dict, key: Hashable, build: Callable, *args: Any) -> Any:
+    """build(*args), computed once per key and kept in a lattice's cache.
 
     A hit is one lookup.  No build returns None, which would read as a miss.
     """
-    value = lat._cache.get(key)
+    value = cache.get(key)
     if value is None:
-        value = lat._cache[key] = build(*args)
+        value = cache[key] = build(*args)
     return value
 
 

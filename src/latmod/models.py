@@ -24,6 +24,7 @@ from .arrows import (
     is_cotransfer_system,
     is_transfer_system,
     rlp_dual,
+    _checked,
     _extend,
     _llp,
     _rlp,
@@ -52,7 +53,7 @@ def is_weak_equivalence_set(weq: ArrowSet) -> bool:
     above it all stay inside the set.
     """
     lat = weq.lattice
-    t = _tables(lat)
+    t = _checked(weq)
     if _extend(t.compose_at, t.legs, 0, weq.mask) != weq.mask:
         return False
     pos = lat.arrow_position
@@ -79,7 +80,7 @@ def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     Candidates are the composition-closed, wide decomposable sets, listed
     as the fixed points of their closure; the full criterion filters them.
     """
-    return _cached(lat, "weq_sets", _weak_equivalence_sets, lat)
+    return _cached(lat._cache, "weq_sets", _weak_equivalence_sets, lat)
 
 
 def _weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
@@ -104,14 +105,14 @@ def t_max(weq: ArrowSet) -> ArrowSet:
     every transfer system is the union of the systems its members generate.
     """
     return _largest_inside(
-        weq, _tables(weq.lattice).pull, is_transfer_system, "transfer"
+        weq, _checked(weq).pull, is_transfer_system, "transfer"
     )
 
 
 def k_max(weq: ArrowSet) -> ArrowSet:
     """Largest cotransfer system inside the weak equivalences."""
     return _largest_inside(
-        weq, _tables(weq.lattice).push, is_cotransfer_system, "cotransfer"
+        weq, _checked(weq).push, is_cotransfer_system, "cotransfer"
     )
 
 
@@ -148,8 +149,7 @@ def af_interval(weq: ArrowSet) -> tuple[ArrowSet, ...]:
 
     They are the acyclic fibrations of W's model table, built on first use.
     """
-    table = _model_table(weq.lattice, weq.mask, weq)
-    return tuple(model.acyclic_fib for model in table.values())
+    return tuple(model.acyclic_fib for model in _model_table(weq).values())
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +185,23 @@ def derive_classes(
     the structure enumerate_model_structures holds.  It raises
     NotAdmissible unless AF is one of the systems of af_interval(W), and
     NotAWeakEquivalenceSet unless W is a weak equivalence set.  With check
-    disabled it derives a fresh structure from any pair.
+    disabled it derives a fresh structure from any pair.  Sets of two
+    lattices raise ValueError, a bit that names no arrow UnknownLabel.
     """
-    af = weq._compatible(acyclic_fib)
-    if not check:
-        return _derive(weq, acyclic_fib)
-    model = _model_table(weq.lattice, weq.mask, weq).get(af)
-    if model is None:
-        raise NotAdmissible(weq, acyclic_fib)
-    return model
+    lat = weq.lattice
+    if acyclic_fib.lattice is not lat:
+        weq._compatible(acyclic_fib)  # raises the mixed-lattice ValueError
+    if check:
+        # Warm, two int-keyed reads: W's model table, and AF in it.
+        table = lat._cache["model_tables"].get(weq.mask) or _model_table(weq)
+        model = table.get(acyclic_fib.mask)
+        if model is not None:
+            return model
+        if not acyclic_fib.mask >> len(lat.arrows):
+            raise NotAdmissible(weq, acyclic_fib)
+    _checked(weq)  # a stray bit raises, so a checked call stops here
+    _checked(acyclic_fib)
+    return _derive(weq, acyclic_fib)
 
 
 def _derive(weq: ArrowSet, acyclic_fib: ArrowSet) -> ModelStructure:
@@ -213,28 +221,15 @@ def _derive(weq: ArrowSet, acyclic_fib: ArrowSet) -> ModelStructure:
     )
 
 
-def _model_table(
-    lat: FiniteLattice,
-    mask: int,
-    weq: ArrowSet | None = None,
-    check: bool = True,
-) -> dict[int, ModelStructure]:
-    # The structures over the W with this mask, keyed by AF mask, in
-    # catalog order.  A warm read builds nothing; W is checked only when
-    # its table is absent, and a W that is not a weak equivalence set
-    # raises and leaves no table behind.  The table's structures share
-    # weq, the caller's ArrowSet of W, built here only when none is given.
-    # A warm localization reads the same entry directly, by this key.
-    return _cached(
-        lat, ("model_table", mask), _derive_table, lat, mask, weq, check
-    )
-
-
-def _derive_table(
-    lat: FiniteLattice, mask: int, weq: ArrowSet | None, check: bool
-) -> dict[int, ModelStructure]:
-    if weq is None:
-        weq = ArrowSet(lat, mask)
+def _model_table(weq: ArrowSet, check: bool = True) -> dict[int, ModelStructure]:
+    # The structures over W, keyed by AF mask in catalog order, kept in the
+    # lattice's "model_tables" by W's mask (warm queries read it directly).
+    # W is checked only when its table is absent; a W that is not a weak
+    # equivalence set leaves no table.  The structures share weq.
+    lat = weq.lattice
+    table = lat._cache["model_tables"].get(weq.mask)
+    if table is not None:
+        return table
     if check and not is_weak_equivalence_set(weq):
         raise NotAWeakEquivalenceSet(
             f"{weq.signature()} is not a weak equivalence set"
@@ -243,12 +238,14 @@ def _derive_table(
     t = _tables(lat)
     extend = partial(_extend, t.compose_at, t.pull)
     interval = closed_sets(lat, extend, low.mask, high.mask)
-    return {af.mask: _derive(weq, af) for af in interval}
+    table = {af.mask: _derive(weq, af) for af in interval}
+    lat._cache["model_tables"][weq.mask] = table
+    return table
 
 
 def enumerate_model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
     """Every model structure, ordered by weak equivalences then by AF."""
-    return _cached(lat, "models", _model_structures, lat)
+    return _cached(lat._cache, "models", _model_structures, lat)
 
 
 def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
@@ -257,7 +254,7 @@ def _model_structures(lat: FiniteLattice) -> tuple[ModelStructure, ...]:
     return tuple(
         model
         for weq in enumerate_weak_equivalence_sets(lat)
-        for model in _model_table(lat, weq.mask, weq, check=False).values()
+        for model in _model_table(weq, check=False).values()
     )
 
 
@@ -303,14 +300,24 @@ def verify_model_axioms(model: ModelStructure) -> bool:
             is fib.lattice):
         for aset in model[1:]:
             ArrowSet.empty(lat)._compatible(aset)  # raises for the stray one
-    t = _tables(lat)
+    t = lat._cache.get("tables") or _tables(lat)
     weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
-    if (weq | af | cof | ac | fib) & ~t.full:
+    full = t.full
+    if (weq | af | cof | ac | fib) & ~full:
         return False
-    if _llp(t, af) != cof or _rlp(t, cof) != af:
+    # One pass over the masks' bytes: the unions of kill rows that give
+    # llp(AF), llp(F), rlp(C) and rlp(AC), and W's union of role rows.
+    kill_af = kill_fib = kill_cof = kill_ac = roles = 0
+    for s, llp, rlp, role in t.axiom_bytes:
+        kill_af |= llp[af >> s & 255]
+        kill_fib |= llp[fib >> s & 255]
+        kill_cof |= rlp[cof >> s & 255]
+        kill_ac |= rlp[ac >> s & 255]
+        roles |= role[weq >> s & 255]
+    if full & ~kill_af != cof or full & ~kill_cof != af:
         return False
-    if _llp(t, fib) != ac or _rlp(t, ac) != fib:
+    if full & ~kill_fib != ac or full & ~kill_ac != fib:
         return False
     if af & ~weq or ac != cof & weq or af != fib & weq:
         return False
-    return _two_of_three_closed(t, weq)
+    return _two_of_three_closed(t.role_base, roles)

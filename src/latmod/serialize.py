@@ -122,10 +122,7 @@ def serialize_golden_reports(
         lat = r.golden.lattice
         out.append(
             {
-                "new_weq": [
-                    lat.labels[r.new_weq.source],
-                    lat.labels[r.new_weq.target],
-                ],
+                "new_weq": [lat.labels[x] for x in r.new_weq],
                 "targets": [lat.labels[x] for x in r.targets],
                 "sources": [lat.labels[x] for x in r.sources],
                 "arrows": r.golden.label_pairs(),

@@ -109,11 +109,11 @@ def enumerate_cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
 
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
     """Catalog kept on the lattice for repeated structural queries."""
-    return _cached(lat, "transfers", enumerate_transfer_systems, lat)
+    return _cached(lat._cache, "transfers", enumerate_transfer_systems, lat)
 
 
 def cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
-    return _cached(lat, "cotransfers", enumerate_cotransfer_systems, lat)
+    return _cached(lat._cache, "cotransfers", enumerate_cotransfer_systems, lat)
 
 
 # ---------------------------------------------------------------------------

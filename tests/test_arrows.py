@@ -16,16 +16,20 @@ from latmod import (
     close_two_out_of_three,
     close_wide_decomposable,
     compose_sets,
+    derive_classes,
     generate_cotransfer,
     generate_transfer,
     is_composition_closed,
     is_cotransfer_system,
     is_transfer_system,
+    is_weak_equivalence_set,
     is_wide_decomposable,
+    k_max,
     llp_dual,
     n5,
     product,
     rlp_dual,
+    t_max,
 )
 from latmod.arrows import _extend, _tables, _two_of_three_closed, _union_bytes
 from latmod.lattice import _union_rows
@@ -408,4 +412,59 @@ def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
         assert t.role_base.bit_length() == 3 * len(t.triangles) - 2
         for mask in range(1 << t.m):
             want = two_of_three_pass(t, mask) == mask
-            assert _two_of_three_closed(t, mask) == want
+            roles = _union_bytes(t.roles_bytes, mask)
+            assert _two_of_three_closed(t.role_base, roles) == want
+
+
+def _cube():
+    return product(product(chain(1), chain(1)), chain(1))
+
+
+# Public entry points that take arrow sets, each called with one set that
+# has a stray bit (the other argument, if any, empty).
+STRAY_BIT_CALLS = {
+    "llp_dual": llp_dual,
+    "rlp_dual": rlp_dual,
+    "close_pullback": close_pullback,
+    "close_pushout": close_pushout,
+    "close_composition": close_composition,
+    "close_two_out_of_three": close_two_out_of_three,
+    "close_wide_decomposable": close_wide_decomposable,
+    "generate_transfer": generate_transfer,
+    "generate_cotransfer": generate_cotransfer,
+    "is_transfer_system": is_transfer_system,
+    "is_cotransfer_system": is_cotransfer_system,
+    "is_composition_closed": is_composition_closed,
+    "is_wide_decomposable": is_wide_decomposable,
+    "compose_sets-upper": lambda a: compose_sets(a, ArrowSet.empty(a.lattice)),
+    "compose_sets-lower": lambda a: compose_sets(ArrowSet.empty(a.lattice), a),
+    "is_weak_equivalence_set": is_weak_equivalence_set,
+    "t_max": t_max,
+    "k_max": k_max,
+    "derive_classes-weq": lambda a: derive_classes(a, ArrowSet.empty(a.lattice)),
+    "derive_classes-af": lambda a: derive_classes(ArrowSet.empty(a.lattice), a),
+    "derive_classes-weq-unchecked": lambda a: derive_classes(
+        a, ArrowSet.empty(a.lattice), check=False
+    ),
+    "derive_classes-af-unchecked": lambda a: derive_classes(
+        ArrowSet.empty(a.lattice), a, check=False
+    ),
+}
+
+
+@pytest.mark.parametrize("call", STRAY_BIT_CALLS.values(), ids=STRAY_BIT_CALLS)
+@pytest.mark.parametrize("place", ["m", "byte-end", "m+64"])
+@pytest.mark.parametrize(
+    "build", [lambda: product(chain(1), chain(1)), _cube], ids=["square", "cube"]
+)
+def test_a_bit_past_the_last_arrow_is_refused(build, place, call):
+    # ArrowSet takes any int.  A bit at m (the arrow count) indexed past
+    # the byte tables, and one at the end of the last byte, 8 * ceil(m / 8),
+    # was silently dropped; both, and one far past them, name no arrow.
+    # Each call runs on a fresh lattice, so derive_classes is cold.
+    lat = build()
+    m = len(lat.arrows)
+    bit = {"m": m, "byte-end": -(-m // 8) * 8, "m+64": m + 64}[place]
+    with pytest.raises(UnknownLabel) as err:
+        call(ArrowSet(lat, 1 << bit | 1))
+    assert str(err.value) == f"bit {bit} names no arrow: the lattice has {m} arrows"

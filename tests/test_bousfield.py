@@ -5,6 +5,7 @@ import pytest
 
 from latmod import (
     ArrowSet,
+    ModelStructure,
     NotAdmissible,
     NotAWeakEquivalenceSet,
     NotShort,
@@ -185,6 +186,96 @@ def test_right_localize_at_a_cover_runs_the_fixpoint_once(
     assert len(calls) == 1
 
 
+def answer(call, *args):
+    # A query's answer as plain data: a structure by key and signature,
+    # golden reports by their fields, a refusal by type and message.
+    try:
+        out = call(*args)
+    except NotShort as err:
+        return "NotShort", str(err)
+    if isinstance(out, ModelStructure):
+        return out.key(), out.signature()
+    return [
+        (tuple(r.new_weq), r.targets, r.sources, r.golden.signature())
+        for r in out
+    ]
+
+
+def emptied(lat):
+    # lat with its per-W dicts as a freshly built lattice has them, so the
+    # next query misses every entry; the closure tables stay.
+    for kind in ("model_tables", "golden", "weq_blocks"):
+        lat._cache[kind].clear()
+    for rows in lat._cache["localized_weq"].values():
+        rows.clear()
+    return lat
+
+
+@pytest.mark.parametrize(
+    "build, each_call",
+    [
+        (n5, True),
+        (lambda: product(chain(2), chain(1)), True),
+        (lambda: chain(5), False),
+        (cube, False),
+    ],
+    ids=["n5", "grid2x1", "chain5", "cube"],
+)
+def test_warm_answers_equal_cold_answers(build, each_call):
+    # The warm paths read the per-W dicts the graph filled.  A freshly
+    # built copy starts from empty ones, so each of its entries is made by
+    # the miss path of a single call; on n5 and grid2x1 they are emptied
+    # before every call, so every answer there is computed cold.  Every
+    # model, every arrow outside W, both sides, and the golden reports
+    # (refusals off the covers).
+    warm, cold = build(), build()
+    models = localization_graph(warm).structures
+    assert warm._cache["model_tables"] and not cold._cache["model_tables"]
+    for model in models:
+        weq = ArrowSet(cold, model.weq.mask)
+        af = ArrowSet(cold, model.acyclic_fib.mask)
+        if each_call:
+            emptied(cold)
+        assert answer(derive_classes, model.weq, model.acyclic_fib) == answer(
+            derive_classes, weq, af
+        )
+        copy = derive_classes(weq, af)
+        assert verify_model_axioms(model) is verify_model_axioms(copy) is True
+        for f in warm.arrows:
+            if f in model.weq:
+                continue
+            for call in (left_localize, right_localize, golden_arrows):
+                if each_call:
+                    emptied(cold)
+                assert answer(call, model, f) == answer(call, copy, f)
+
+
+@pytest.mark.parametrize("long_arrow", ["0,1", "0,C"], ids=["outside-W", "in-W"])
+def test_a_filled_golden_row_still_refuses_what_is_no_cover(long_arrow):
+    # A golden row is read before the checks, but it only holds entries
+    # for covers that passed them.  The model's W holds 0->C, a long
+    # arrow, and not 0->1.
+    model = make_pentagon_model(n5())
+    lat = model.lattice
+    for c in lat.covers:
+        # A list names the same arrow, off the warm path, and the same entry.
+        assert golden_arrows(model, list(c)) is golden_arrows(model, c)
+    row = lat._cache["golden"][model.weq.mask]
+    assert [k for k, entry in enumerate(row) if entry is not None] == sorted(
+        lat.arrow_position[c] for c in lat.covers
+    )
+    source, target = long_arrow.split(",")
+    with pytest.raises(NotShort) as err:
+        golden_arrows(model, lat.arrow(source, target))
+    assert str(err.value) == f"{source}->{target} is not a cover"
+    with pytest.raises(NotShort) as err:
+        golden_arrows(model, (1, 0))
+    assert str(err.value) == "'A' -> '0' is not a relation, so not a cover"
+    with pytest.raises(NotShort) as err:
+        golden_arrows(model, None)
+    assert str(err.value) == "None is not a pair of element indices, so not a cover"
+
+
 def test_localized_weq_matches_the_naive_fixpoint(corpus):
     # Every model, every arrow outside W (covers and long arrows), both
     # sides; 14,268 of the 16,956 localizations are on the cube.  W' is
@@ -233,17 +324,24 @@ def test_localized_weq_reads_only_w(corpus):
                     assert got == want
 
 
-def test_graph_checks_that_left_localization_keeps_cofibrations(
-    monkeypatch, pentagon
-):
+def test_graph_checks_that_left_localization_keeps_cofibrations():
     # C = llp(AF) and left localization keeps AF, so no fixpoint result can
-    # change the cofibrations; a left rule that drops AF must be refused.
-    kept_af = bousfield._kept_af
-
-    def dropped(side, weq, af, fib):
-        return 0 if side == "left" else kept_af(side, weq, af, fib)
-
-    monkeypatch.setattr(bousfield, "_kept_af", dropped)
+    # change the cofibrations; a target with other cofibrations must be
+    # refused.  The model table of a fresh pentagon gets one: the left
+    # localization of model 5 at 0->A with C complemented, put in before
+    # the enumeration, so the graph and left_localize both read it.
+    reference = enumerate_model_structures(n5())[5]
+    target = left_localize(reference, reference.lattice.arrow("0", "A"))
+    pentagon = n5()
+    derive_classes(
+        ArrowSet(pentagon, target.weq.mask),
+        ArrowSet(pentagon, target.acyclic_fib.mask),
+    )
+    table = pentagon._cache["model_tables"][target.weq.mask]
+    entry = table[target.acyclic_fib.mask]
+    table[entry.acyclic_fib.mask] = entry._replace(
+        cof=ArrowSet.full(pentagon) - entry.cof
+    )
     model = enumerate_model_structures(pentagon)[5]
     assert model.signature() == "W={A->C} AF={A->C}"
     message = (
@@ -334,11 +432,11 @@ def test_localizing_a_fresh_lattice_fills_the_shared_model_tables(build):
     # Nothing is enumerated, so the first localizations find no table for
     # W' and derive it; starts from derive_classes models follow.  Every
     # result is the structure the later enumeration holds, and each W'
-    # has one table, keyed by its mask.
+    # has one table, keyed by its mask in the lattice's "model_tables".
     lat = build()
 
     def tables():
-        return {key for key in lat._cache if isinstance(key, tuple)}
+        return set(lat._cache["model_tables"])
 
     def localize_everywhere(model):
         found = []
@@ -349,7 +447,7 @@ def test_localizing_a_fresh_lattice_fills_the_shared_model_tables(build):
 
     empty = ArrowSet.empty(lat)
     trivial = derive_classes(empty, empty)
-    assert tables() == {("model_table", 0)}
+    assert tables() == {0}
     results = localize_everywhere(trivial)
     starts = [
         derive_classes(w, t_min(w)) for w in enumerate_weak_equivalence_sets(lat)
@@ -357,9 +455,9 @@ def test_localizing_a_fresh_lattice_fills_the_shared_model_tables(build):
     for model in starts:
         results += localize_everywhere(model)
     seen = {m.weq.mask for m in (trivial, *starts, *results)}
-    assert tables() == {("model_table", w) for w in seen}
+    assert tables() == seen
     models = enumerate_model_structures(lat)
-    assert tables() == {("model_table", m.weq.mask) for m in models}
+    assert tables() == {m.weq.mask for m in models}
     enumerated = {m.key(): m for m in models}
     for model in (trivial, *starts, *results):
         assert model is enumerated[model.key()]

@@ -393,16 +393,18 @@ def test_derive_check_returns_the_enumerated_structure(corpus):
 
 
 def per_w_keys(lat):
-    # The per-W entries of the lattice cache: tuple keys (kind, W mask).
-    return {key for key in lat._cache if isinstance(key, tuple)}
+    # The per-W entries of the lattice cache, as (kind, W mask): each kind
+    # is one dict keyed by W's mask.
+    kinds = ("model_tables", "golden", "weq_blocks")
+    return {(kind, w) for kind in kinds for w in lat._cache[kind]}
 
 
 def test_enumeration_keeps_one_model_table_per_weq_set():
     for lat in fresh_corpus():
         models = enumerate_model_structures(lat)
         weqs = enumerate_weak_equivalence_sets(lat)
-        assert per_w_keys(lat) == {("model_table", w.mask) for w in weqs}
-        tables = [lat._cache["model_table", w.mask] for w in weqs]
+        assert per_w_keys(lat) == {("model_tables", w.mask) for w in weqs}
+        tables = [lat._cache["model_tables"][w.mask] for w in weqs]
         for w, table in zip(weqs, tables):
             assert list(table) == [t.mask for t in af_interval(w)]
         assert models == tuple(m for table in tables for m in table.values())
@@ -754,3 +756,14 @@ def test_enumeration_is_grouped_and_deterministic(pentagon):
             blocks.append(mask)
     assert blocks == weq_order
     assert models == enumerate_model_structures(pentagon)
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+def test_derive_refuses_sets_from_two_lattices(check):
+    # W from one n5() build and AF from another: a warm table of the first
+    # holds AF's mask, but the pair is refused before any lookup.
+    lat, other = n5(), n5()
+    assert enumerate_model_structures(lat)[0].key() == (0, 0)
+    for weq, af in ((lat, other), (other, lat)):
+        with pytest.raises(ValueError, match="belong to different lattices"):
+            derive_classes(ArrowSet.empty(weq), ArrowSet.empty(af), check=check)
