@@ -15,6 +15,7 @@ from .lattice import (
     Arrow,
     FiniteLattice,
     _cached,
+    _union_rows,
     pullbacks_of,
     pushouts_of,
 )
@@ -164,10 +165,10 @@ def _arrow_names(lat: FiniteLattice) -> tuple[str, ...]:
 class _Tables:
     """Precomputed bit tables driving every closure and lifting operator.
 
-    Each per-arrow row table that is read as a union of rows (pull, push,
-    kill_llp, kill_rlp, roles) also has a byte table, `<name>_bytes`,
-    for _union_bytes; axiom_bytes zips three of them per byte, with its
-    bit offset, for the one pass of models.verify_model_axioms.
+    The row tables that warm paths read as a union of rows (kill_llp,
+    kill_rlp, roles) also have a byte table, `<name>_bytes`, for
+    _union_bytes; axiom_bytes zips the three per byte, with its bit
+    offset, for the one pass of models.verify_model_axioms.
     """
 
     __slots__ = (
@@ -188,8 +189,6 @@ class _Tables:
         "down",
         "roles",
         "role_base",
-        "pull_bytes",
-        "push_bytes",
         "kill_llp_bytes",
         "kill_rlp_bytes",
         "roles_bytes",
@@ -271,8 +270,6 @@ class _Tables:
         self.down = tuple(
             sum(1 << x for x in elems if self.up[x] >> y & 1) for y in elems
         )
-        self.pull_bytes = _byte_table(self.pull)
-        self.push_bytes = _byte_table(self.push)
         self.kill_llp_bytes = _byte_table(self.kill_llp)
         self.kill_rlp_bytes = _byte_table(self.kill_rlp)
         self.roles_bytes = _byte_table(self.roles)
@@ -374,7 +371,7 @@ def close_pullback(aset: ArrowSet) -> ArrowSet:
     (meets are associative), so each pull row is closed under pull.
     """
     t = _checked(aset)
-    return ArrowSet(aset.lattice, aset.mask | _union_bytes(t.pull_bytes, aset.mask))
+    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.pull, aset.mask))
 
 
 def close_pushout(aset: ArrowSet) -> ArrowSet:
@@ -383,7 +380,7 @@ def close_pushout(aset: ArrowSet) -> ArrowSet:
     One pass suffices, dually to close_pullback (joins are associative).
     """
     t = _checked(aset)
-    return ArrowSet(aset.lattice, aset.mask | _union_bytes(t.push_bytes, aset.mask))
+    return ArrowSet(aset.lattice, aset.mask | _union_rows(t.push, aset.mask))
 
 
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:

@@ -13,13 +13,11 @@ the closure runs once per triple.  Golden reports are kept per (W, cover).
 """
 from __future__ import annotations
 
-from collections import deque
-from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .arrows import ArrowSet, _Tables, _extend, _tables
 from .errors import FixpointError, NotShort, UnknownLabel
-from .lattice import Arrow, FiniteLattice, _bits, _cached, _union_rows
+from .lattice import Arrow, FiniteLattice, _bits, _union_rows
 from .models import (
     ModelStructure,
     derive_classes,
@@ -36,14 +34,10 @@ def weq_components(weq: ArrowSet) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _blocks(weq: ArrowSet) -> tuple[int, ...]:
-    # Element masks: the block of each element, kept per W.
-    return _cached(weq.lattice._cache["weq_blocks"], weq.mask, _block_masks, weq)
-
-
-def _block_masks(weq: ArrowSet) -> tuple[int, ...]:
-    # Each element with its neighbours along weq arrows, then each block
-    # grown breadth first from its least element.
+def _blocks(weq: ArrowSet) -> list[int]:
+    # Element masks, the block of each element: each element with its
+    # neighbours along weq arrows, then each block grown breadth first
+    # from its least element.
     n = weq.lattice.n
     linked = [1 << x for x in range(n)]
     arrows = weq.lattice.arrows
@@ -61,7 +55,7 @@ def _block_masks(weq: ArrowSet) -> tuple[int, ...]:
                 block |= grown
             for y in _bits(block):
                 blocks[y] = block
-    return tuple(blocks)
+    return blocks
 
 
 class GoldenArrowReport(NamedTuple):
@@ -278,25 +272,6 @@ class LocalizationGraph:
     def __len__(self) -> int:
         return len(self.structures)
 
-    @cached_property
-    def _successors(self) -> tuple[tuple[int, ...], ...]:
-        # Edge targets per source, in edge order, duplicates kept.
-        out: list[list[int]] = [[] for _ in self.structures]
-        for e in self.edges:
-            out[e.src].append(e.dst)
-        return tuple(map(tuple, out))
-
-    @cached_property
-    def _undirected(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set(succ) for succ in self._successors]
-        for src, succ in enumerate(self._successors):
-            for dst in succ:
-                out[dst].add(src)
-        return tuple(map(frozenset, out))
-
-    def neighbours(self, i: int) -> Iterator[int]:
-        return iter(self._successors[i])
-
 
 def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     """Build the localization graph over every model structure.
@@ -350,24 +325,32 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     return LocalizationGraph(structures, tuple(edges), index[0][0])
 
 
-def _search(adjacency, start: int) -> frozenset[int]:
+def _search(graph: LocalizationGraph, start: int, directed: bool) -> frozenset[int]:
+    # Every index reached from start, over adjacency lists built from the
+    # edges on each call: targets per source, and sources per target as
+    # well when directions are ignored.
+    adjacency: list[list[int]] = [[] for _ in graph.structures]
+    for e in graph.edges:
+        adjacency[e.src].append(e.dst)
+        if not directed:
+            adjacency[e.dst].append(e.src)
     seen = {start}
-    queue = deque(seen)
-    while queue:
-        for nxt in adjacency[queue.popleft()]:
+    todo = [start]
+    while todo:
+        for nxt in adjacency[todo.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                todo.append(nxt)
     return frozenset(seen)
 
 
 def reachable_from_trivial(graph: LocalizationGraph) -> frozenset[int]:
     """Indices of structures reachable from the trivial one by localizations."""
-    return _search(graph._successors, graph.trivial_index)
+    return _search(graph, graph.trivial_index, directed=True)
 
 
 def is_weakly_connected(graph: LocalizationGraph) -> bool:
     """Whether the graph is connected when edge directions are ignored."""
     if not graph.structures:
         return True
-    return len(_search(graph._undirected, 0)) == len(graph)
+    return len(_search(graph, 0, directed=False)) == len(graph)

@@ -44,11 +44,7 @@ from .serialize import (
     serialize_model,
     systems_dot,
 )
-from .transfers import (
-    enumerate_transfer_systems,
-    singly_generated_transfers,
-    transfer_catalog,
-)
+from .transfers import singly_generated_transfers, transfer_catalog
 
 
 _EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
@@ -183,7 +179,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 def _cmd_transfers(args: argparse.Namespace) -> int:
     lat = load_lattice(args.lattice)
     if args.subcommand == "enumerate":
-        catalog = enumerate_transfer_systems(lat)
+        catalog = transfer_catalog(lat)
         if args.format == "count":
             _emit(f"{len(catalog)}\n", args.out)
         elif args.format == "dot":

@@ -55,7 +55,7 @@ class FiniteLattice:
         # Kept computations (see _cached), and per W kind one dict keyed by
         # W's mask, that warm queries read directly.
         self._cache: dict[Hashable, Any] = {
-            "model_tables": {}, "golden": {}, "weq_blocks": {},
+            "model_tables": {}, "golden": {},
             "localized_weq": {"left": {}, "right": {}}}
 
     # Identity-based equality: lattices are immutable and shared by reference.

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import operator
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterator
 
 from .arrows import (
@@ -14,7 +14,7 @@ from .arrows import (
     _tables,
 )
 from .errors import NotALattice, NotATransferSystem
-from .lattice import Arrow, FiniteLattice, _cached, build_lattice, hasse_covers
+from .lattice import Arrow, FiniteLattice, build_lattice, hasse_covers
 
 
 class TransferCatalog:
@@ -31,6 +31,7 @@ class TransferCatalog:
     ) -> None:
         self.lattice = lattice
         self.systems = systems
+        self._positions = {s.mask: i for i, s in enumerate(systems)}
 
     def __len__(self) -> int:
         return len(self.systems)
@@ -41,11 +42,9 @@ class TransferCatalog:
     def __getitem__(self, i: int) -> ArrowSet:
         return self.systems[i]
 
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {s.mask: i for i, s in enumerate(self.systems)}
-
     def position(self, system: ArrowSet) -> int:
+        if system.lattice is not self.lattice:
+            raise ValueError("arrow sets belong to different lattices")
         try:
             return self._positions[system.mask]
         except KeyError:
@@ -54,7 +53,7 @@ class TransferCatalog:
             ) from None
 
     def __contains__(self, system: ArrowSet) -> bool:
-        return system.mask in self._positions
+        return system.lattice is self.lattice and system.mask in self._positions
 
 
 def closed_sets(
@@ -94,26 +93,24 @@ def closed_sets(
     return tuple(out)
 
 
-def enumerate_transfer_systems(lat: FiniteLattice) -> TransferCatalog:
-    """Enumerate every transfer system on the lattice."""
-    t = _tables(lat)
-    extend = partial(_extend, t.compose_at, t.pull)
-    return TransferCatalog(lat, closed_sets(lat, extend))
-
-
-def enumerate_cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
-    """Every cotransfer system, in the same canonical order."""
-    t = _tables(lat)
-    return closed_sets(lat, partial(_extend, t.compose_at, t.push))
-
-
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
-    """Catalog kept on the lattice for repeated structural queries."""
-    return _cached(lat._cache, "transfers", enumerate_transfer_systems, lat)
+    """Every transfer system on the lattice, kept on it for later queries."""
+    catalog = lat._cache.get("transfers")
+    if catalog is None:
+        t = _tables(lat)
+        systems = closed_sets(lat, partial(_extend, t.compose_at, t.pull))
+        catalog = lat._cache["transfers"] = TransferCatalog(lat, systems)
+    return catalog
 
 
 def cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
-    return _cached(lat._cache, "cotransfers", enumerate_cotransfer_systems, lat)
+    """Every cotransfer system, in the same canonical order, kept likewise."""
+    systems = lat._cache.get("cotransfers")
+    if systems is None:
+        t = _tables(lat)
+        systems = closed_sets(lat, partial(_extend, t.compose_at, t.push))
+        lat._cache["cotransfers"] = systems
+    return systems
 
 
 # ---------------------------------------------------------------------------

@@ -395,7 +395,7 @@ def test_derive_check_returns_the_enumerated_structure(corpus):
 def per_w_keys(lat):
     # The per-W entries of the lattice cache, as (kind, W mask): each kind
     # is one dict keyed by W's mask.
-    kinds = ("model_tables", "golden", "weq_blocks")
+    kinds = ("model_tables", "golden")
     return {(kind, w) for kind in kinds for w in lat._cache[kind]}
 
 

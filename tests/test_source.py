@@ -22,6 +22,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_has_no_cached_property():
+    # Filling a cached property writes the instance dict, and every later
+    # attribute read of that object gets slower; derived tables are plain
+    # attributes or are built where they are read.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (
+            isinstance(node, ast.alias)
+            and "cached_property" in (node.name, node.asname)
+        )
+    ]
+    assert SOURCES
+    assert found == []
+
+
 def _run_python(code: str) -> subprocess.CompletedProcess:
     src = Path(latmod.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

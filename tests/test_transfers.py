@@ -10,11 +10,11 @@ from latmod import (
     chain,
     closed_sets,
     cotransfer_systems,
-    enumerate_cotransfer_systems,
     is_cotransfer_system,
     is_saturated,
     is_transfer_system,
     llp_dual,
+    n5,
     rlp_dual,
     singly_generated_transfers,
     tr_as_lattice,
@@ -120,9 +120,26 @@ def test_catalog_membership_api(pentagon):
         catalog.position(not_closed)
 
 
+def test_catalog_refuses_another_lattices_sets():
+    # Two separately built N5s are different lattices: a system of one is
+    # no member of the other's catalog, and the catalog's lattice
+    # operations refuse it as every mix of lattices is refused.
+    catalog = transfer_catalog(n5())
+    own, foreign = catalog[3], transfer_catalog(n5())[3]
+    assert own.mask == foreign.mask
+    assert own in catalog
+    assert foreign not in catalog
+    with pytest.raises(ValueError, match="different lattices"):
+        catalog.position(foreign)
+    for op in (tr_meet, tr_join):
+        for a, b in ((own, foreign), (foreign, own), (foreign, foreign)):
+            with pytest.raises(ValueError, match="different lattices"):
+                op(catalog, a, b)
+
+
 def test_duality_bijection(pentagon):
     transfers = transfer_catalog(pentagon)
-    cotransfers = enumerate_cotransfer_systems(pentagon)
+    cotransfers = cotransfer_systems(pentagon)
     assert len(transfers) == len(cotransfers) == 26
     comasks = {s.mask for s in cotransfers}
     seen = set()
