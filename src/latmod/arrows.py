@@ -8,6 +8,7 @@ closure, so they are not stored.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Iterator
 
 from .errors import UnknownLabel
@@ -165,10 +166,12 @@ def _arrow_names(lat: FiniteLattice) -> tuple[str, ...]:
 class _Tables:
     """Precomputed bit tables driving every closure and lifting operator.
 
-    The row tables that warm paths read as a union of rows (kill_llp,
-    kill_rlp, roles) also have a byte table, `<name>_bytes`, for
-    _union_bytes; axiom_bytes zips the three per byte, with its bit
-    offset, for the one pass of models.verify_model_axioms.
+    Each closure kind is one kernel, kernel(mask, new): _extend bound in
+    __init__ to a rule table and a row table (compose, transfer,
+    cotransfer, wide, two_of_three and localize[side]).  The lifting duals
+    read kill_llp_bytes and kill_rlp_bytes, byte tables of the kill rows
+    for _union_bytes; axiom_bytes zips them with the role byte table, per
+    byte with its bit offset, for the one pass of verify_model_axioms.
     """
 
     __slots__ = (
@@ -177,34 +180,31 @@ class _Tables:
         "pull",
         "push",
         "triples",
-        "triangles",
-        "compose_at",
-        "two_of_three_at",
-        "legs",
-        "no_rows",
-        "kill_llp",
-        "kill_rlp",
         "cover_mask",
         "up",
         "down",
-        "roles",
         "role_base",
         "kill_llp_bytes",
         "kill_rlp_bytes",
-        "roles_bytes",
         "axiom_bytes",
+        "compose",
+        "transfer",
+        "cotransfer",
+        "wide",
+        "two_of_three",
+        "localize",
     )
 
     def __init__(self, lat: FiniteLattice) -> None:
         arrows = lat.arrows
         pos = lat.arrow_position
-        self.m = len(arrows)
-        self.full = (1 << self.m) - 1
+        m = self.m = len(arrows)
+        self.full = (1 << m) - 1
 
-        self.pull = tuple(
+        pull = self.pull = tuple(
             _mask_of(pos, pullbacks_of(lat, f)) for f in arrows
         )
-        self.push = tuple(
+        push = self.push = tuple(
             _mask_of(pos, pushouts_of(lat, f)) for f in arrows
         )
 
@@ -219,39 +219,45 @@ class _Tables:
                         triples.append(
                             (pos[Arrow(x, y)], pos[Arrow(y, z)], pos[Arrow(x, z)])
                         )
-        # The same triples as single-bit masks, and as three-bit masks.
+        # The same triples as single-bit masks.
         self.triples = tuple((1 << i, 1 << j, 1 << k) for i, j, k in triples)
-        self.triangles = tuple(a | b | c for a, b, c in self.triples)
-        # The rule tables of _extend, as (given, forced) pairs per arrow a:
-        # compose_at[a] forces the composite of each triple with leg a once
-        # its other leg is present; two_of_three_at[a] forces all of each
-        # triangle through a once one more of its arrows is present.
-        # legs[k] holds the legs of every factorization of arrow k.
-        compose_at: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
-        two_of_three_at: list[list[tuple[int, int]]] = [[] for _ in range(self.m)]
-        legs = [0] * self.m
-        for (i, j, k), triangle in zip(triples, self.triangles):
+        # The rule tables, as (given, forced) pairs per arrow a: compose_at[a]
+        # forces the composite of each triple with leg a once its other leg
+        # is present; two_of_three_at[a] forces all of each triangle through
+        # a once one more of its arrows is present.  legs[k] holds the legs
+        # of every factorization of arrow k.
+        compose_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        two_of_three_at: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        legs = [0] * m
+        for i, j, k in triples:
+            triangle = 1 << i | 1 << j | 1 << k
             compose_at[i].append((1 << j, 1 << k))
             compose_at[j].append((1 << i, 1 << k))
             legs[k] |= 1 << i | 1 << j
             for a in (i, j, k):
                 two_of_three_at[a].append((triangle ^ 1 << a, triangle))
-        self.compose_at = tuple(map(tuple, compose_at))
-        self.two_of_three_at = tuple(map(tuple, two_of_three_at))
-        self.legs = tuple(legs)
-        self.no_rows = (0,) * self.m
+        # Each closure kind once, as _extend with its rules and rows bound.
+        no_rows = (0,) * m
+        self.compose = partial(_extend, compose_at, no_rows)
+        self.transfer = partial(_extend, compose_at, pull)
+        self.cotransfer = partial(_extend, compose_at, push)
+        self.wide = partial(_extend, compose_at, legs)
+        self.two_of_three = partial(_extend, two_of_three_at, no_rows)
+        self.localize = {
+            "right": partial(_extend, two_of_three_at, pull),
+            "left": partial(_extend, two_of_three_at, push),
+        }
         # Role rows, for _two_of_three_closed: triangle t owns bits 3t (its
         # first leg), 3t + 1 (its second leg) and 3t + 2 (its composite),
         # roles[a] holds the bits of a's places, and role_base every 3t.
-        roles = [0] * self.m
+        roles = [0] * m
         for i, triple in enumerate(triples):
             for place, a in enumerate(triple):
                 roles[a] |= 1 << 3 * i + place
-        self.roles = tuple(roles)
         self.role_base = sum(1 << 3 * t for t in range(len(triples)))
 
-        kill_llp = [0] * self.m
-        kill_rlp = [0] * self.m
+        kill_llp = [0] * m
+        kill_rlp = [0] * m
         for j, (x, y) in enumerate(arrows):
             for i, (a, b) in enumerate(arrows):
                 # f: a -> b lifts on the left of s: x -> y unless a square
@@ -260,8 +266,6 @@ class _Tables:
                     kill_llp[j] |= 1 << i
                 if lat.le(x, a) and lat.le(y, b) and not lat.le(y, a):
                     kill_rlp[j] |= 1 << i
-        self.kill_llp = tuple(kill_llp)
-        self.kill_rlp = tuple(kill_rlp)
 
         self.cover_mask = _mask_of(pos, lat.covers)
         # Element masks: up[x] holds the y with x < y, down[y] the x < y.
@@ -270,14 +274,13 @@ class _Tables:
         self.down = tuple(
             sum(1 << x for x in elems if self.up[x] >> y & 1) for y in elems
         )
-        self.kill_llp_bytes = _byte_table(self.kill_llp)
-        self.kill_rlp_bytes = _byte_table(self.kill_rlp)
-        self.roles_bytes = _byte_table(self.roles)
-        chunks = zip(self.kill_llp_bytes, self.kill_rlp_bytes, self.roles_bytes)
+        self.kill_llp_bytes = _byte_table(kill_llp)
+        self.kill_rlp_bytes = _byte_table(kill_rlp)
+        chunks = zip(self.kill_llp_bytes, self.kill_rlp_bytes, _byte_table(roles))
         self.axiom_bytes = tuple((8 * c, *byte) for c, byte in enumerate(chunks))
 
 
-def _byte_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _byte_table(rows: list[int]) -> tuple[tuple[int, ...], ...]:
     # Entry [c][b] is the union of rows[8c + i] over the set bits i of the
     # byte b; each entry adds one row to the entry without its lowest bit.
     # The last chunk covers only the rows left (none when there are none).
@@ -361,7 +364,7 @@ def _extend(rules, rows, mask: int, new: int) -> int:
 def close_composition(aset: ArrowSet) -> ArrowSet:
     """Smallest superset closed under composition of composable pairs."""
     t = _checked(aset)
-    return ArrowSet(aset.lattice, _extend(t.compose_at, t.no_rows, 0, aset.mask))
+    return ArrowSet(aset.lattice, t.compose(0, aset.mask))
 
 
 def close_pullback(aset: ArrowSet) -> ArrowSet:
@@ -386,9 +389,7 @@ def close_pushout(aset: ArrowSet) -> ArrowSet:
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     """Close under composition and both cancellation rules."""
     t = _checked(aset)
-    return ArrowSet(
-        aset.lattice, _extend(t.two_of_three_at, t.no_rows, 0, aset.mask)
-    )
+    return ArrowSet(aset.lattice, t.two_of_three(0, aset.mask))
 
 
 def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
@@ -398,7 +399,7 @@ def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
     legs force the composite, and a composite forces both of its legs.
     """
     t = _checked(aset)
-    return ArrowSet(aset.lattice, _extend(t.compose_at, t.legs, 0, aset.mask))
+    return ArrowSet(aset.lattice, t.wide(0, aset.mask))
 
 
 def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
@@ -426,7 +427,7 @@ def _composites(t: _Tables, high: int, low: int) -> int:
 
 def is_composition_closed(aset: ArrowSet) -> bool:
     t = _checked(aset)
-    return _extend(t.compose_at, t.no_rows, 0, aset.mask) == aset.mask
+    return t.compose(0, aset.mask) == aset.mask
 
 
 def is_wide_decomposable(aset: ArrowSet) -> bool:
@@ -476,13 +477,13 @@ def generate_transfer(aset: ArrowSet) -> ArrowSet:
     intersection of all containing systems.
     """
     t = _checked(aset)
-    return ArrowSet(aset.lattice, _extend(t.compose_at, t.pull, 0, aset.mask))
+    return ArrowSet(aset.lattice, t.transfer(0, aset.mask))
 
 
 def generate_cotransfer(aset: ArrowSet) -> ArrowSet:
     """Smallest cotransfer system containing the given arrows."""
     t = _checked(aset)
-    return ArrowSet(aset.lattice, _extend(t.compose_at, t.push, 0, aset.mask))
+    return ArrowSet(aset.lattice, t.cotransfer(0, aset.mask))
 
 
 def llp_dual(aset: ArrowSet) -> ArrowSet:

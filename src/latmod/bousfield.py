@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arrows import ArrowSet, _Tables, _extend, _tables
+from .arrows import ArrowSet, _Tables, _checked, _tables
 from .errors import FixpointError, NotShort, UnknownLabel
 from .lattice import Arrow, FiniteLattice, _bits, _union_rows
 from .models import (
@@ -27,6 +27,7 @@ from .models import (
 
 def weq_components(weq: ArrowSet) -> tuple[tuple[int, ...], ...]:
     """Blocks of elements connected by weak equivalences, sorted by minimum."""
+    _checked(weq)
     return tuple(
         tuple(_bits(block))
         for x, block in enumerate(_blocks(weq))
@@ -180,12 +181,11 @@ def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
     the smallest weak equivalence set containing W and f.
 
     W is already closed under two-out-of-three, so this is one run of
-    the extension kernel arrows._extend from W with arrow k new: its
-    two-out-of-three rules fire only on triangles through new arrows, and
-    each new arrow adds its pullback (pushout) row.
+    the side's localization kernel t.localize[side] from W with arrow k
+    new: its two-out-of-three rules fire only on triangles through new
+    arrows, and each new arrow adds its pullback (pushout) row.
     """
-    rows = t.pull if side == "right" else t.push
-    return _extend(t.two_of_three_at, rows, weq, 1 << k)
+    return t.localize[side](weq, 1 << k)
 
 
 def _not_kept(model: ModelStructure, f: Arrow, side: str) -> FixpointError:

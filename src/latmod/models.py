@@ -2,12 +2,12 @@
 
 A model structure is determined by its weak equivalences W and acyclic
 fibrations AF; the remaining classes are forced by lifting.  W must be a
-wide decomposable subcategory whose members admit a short factorization
-with all pushouts weakly equivalent below a pivot and all pullbacks above
-it, and AF ranges over the transfer systems from t_min(W) to t_max(W).
-No catalog is needed: t_max(W) is the f in W with pull(f) inside W, as
-f generates {f} | pull(f) and every transfer system is the union of the
-systems its members generate (proof at t_max); k_max(W) is dual.
+wide decomposable subcategory whose members each factor as a k_max(W)
+arrow followed by a t_max(W) arrow, and AF ranges over the transfer
+systems from t_min(W) to t_max(W).  No catalog is needed: t_max(W) is
+the f in W with pull(f) inside W, as f generates {f} | pull(f) and every
+transfer system is the union of the systems its members generate (proof
+at t_max); k_max(W) is dual.
 
 So the model structures over one W form a finite table, derived once per
 lattice and W: it maps each AF mask of the interval to its structure.
@@ -16,7 +16,6 @@ check on is a lookup that returns the enumerated structure.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 from .arrows import (
@@ -25,7 +24,7 @@ from .arrows import (
     is_transfer_system,
     rlp_dual,
     _checked,
-    _extend,
+    _composites,
     _llp,
     _rlp,
     _tables,
@@ -45,49 +44,41 @@ from .transfers import closed_sets
 
 
 def is_weak_equivalence_set(weq: ArrowSet) -> bool:
-    """Check the factorization criterion for weak equivalence sets.
+    """Whether W is a weak equivalence set: W = t_max(W) o k_max(W).
 
-    The set must be a wide subcategory (composition closed), must be
-    decomposable, and each member must factor into covers admitting a
-    pivot: pushouts of the covers below it and pullbacks of the covers
-    above it all stay inside the set.
+    W must be composition closed and decomposable, and each member must
+    factor into covers admitting a pivot: the pushouts of the covers below
+    it and the pullbacks of those above it lie in W.  Given the first two,
+    the pivot condition says that each member is a k_max(W) arrow then a
+    t_max(W) arrow, identities allowed (such composites lie in W):
+      - by decomposability, the cover factors of a k_max (t_max) arrow
+        have their pushouts (pullbacks) in W, each being a factor of a
+        pushout (pullback) of that arrow;
+      - a chain of such covers composes into k_max (t_max), as a pushout
+        (pullback) of a composite is a composite of pushouts (pullbacks),
+        and the composite, a factor of the member, lies in W.
     """
-    lat = weq.lattice
     t = _checked(weq)
-    if _extend(t.compose_at, t.legs, 0, weq.mask) != weq.mask:
+    w = weq.mask
+    if t.wide(0, w) != w:
         return False
-    pos = lat.arrow_position
-    outside = ~weq.mask
-    # Element masks: reach[x] holds the y reached from x along covers whose
-    # pushouts stay in weq, coreach[y] the x reaching y along covers whose
-    # pullbacks do; a member s -> t has a pivot in reach[s] & coreach[t].
-    # Covers are listed by source in a linear extension, so one pass each
-    # way sees every row complete before it is read.
-    reach = [1 << x for x in range(lat.n)]
-    coreach = list(reach)
-    for c in reversed(lat.covers):
-        if not t.push[pos[c]] & outside:
-            reach[c.source] |= reach[c.target]
-    for c in lat.covers:
-        if not t.pull[pos[c]] & outside:
-            coreach[c.target] |= coreach[c.source]
-    return all(reach[f.source] & coreach[f.target] for f in weq)
+    return _composites(t, _inside(w, t.pull), _inside(w, t.push)) == w
 
 
 def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     """All weak equivalence sets, in canonical (bit vector) order.
 
     Candidates are the composition-closed, wide decomposable sets, listed
-    as the fixed points of their closure; the full criterion filters them.
+    as the fixed points of their closure; the factorization test filters
+    them.
     """
     return _cached(lat._cache, "weq_sets", _weak_equivalence_sets, lat)
 
 
 def _weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     t = _tables(lat)
-    extend = partial(_extend, t.compose_at, t.legs)
     return tuple(
-        weq for weq in closed_sets(lat, extend) if is_weak_equivalence_set(weq)
+        weq for weq in closed_sets(lat, t.wide) if is_weak_equivalence_set(weq)
     )
 
 
@@ -117,15 +108,19 @@ def k_max(weq: ArrowSet) -> ArrowSet:
 
 
 def _largest_inside(weq: ArrowSet, rows, is_system, kind: str) -> ArrowSet:
-    outside = ~weq.mask
-    inside = sum(1 << i for i in _bits(weq.mask) if not rows[i] & outside)
-    union = ArrowSet(weq.lattice, inside)
+    union = ArrowSet(weq.lattice, _inside(weq.mask, rows))
     if not is_system(union):
         raise MaximalityViolation(
             f"union of {kind} systems inside the weak equivalences "
             f"is not itself a {kind} system"
         )
     return union
+
+
+def _inside(weq: int, rows) -> int:
+    # The f in the mask weq whose row (pullbacks or pushouts) lies in it.
+    outside = ~weq
+    return sum(1 << i for i in _bits(weq) if not rows[i] & outside)
 
 
 def t_min(weq: ArrowSet) -> ArrowSet:
@@ -235,9 +230,7 @@ def _model_table(weq: ArrowSet, check: bool = True) -> dict[int, ModelStructure]
             f"{weq.signature()} is not a weak equivalence set"
         )
     low, high = _bounds(weq)
-    t = _tables(lat)
-    extend = partial(_extend, t.compose_at, t.pull)
-    interval = closed_sets(lat, extend, low.mask, high.mask)
+    interval = closed_sets(lat, _tables(lat).transfer, low.mask, high.mask)
     table = {af.mask: _derive(weq, af) for af in interval}
     lat._cache["model_tables"][weq.mask] = table
     return table

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import operator
-from functools import partial
 from typing import Callable, Iterator
 
 from .arrows import (
@@ -10,7 +9,6 @@ from .arrows import (
     close_two_out_of_three,
     generate_transfer,
     is_transfer_system,
-    _extend,
     _tables,
 )
 from .errors import NotALattice, NotATransferSystem
@@ -43,6 +41,8 @@ class TransferCatalog:
         return self.systems[i]
 
     def position(self, system: ArrowSet) -> int:
+        if not isinstance(system, ArrowSet):
+            raise NotATransferSystem(f"{system!r} is not an arrow set")
         if system.lattice is not self.lattice:
             raise ValueError("arrow sets belong to different lattices")
         try:
@@ -52,8 +52,12 @@ class TransferCatalog:
                 f"{system.signature()} is not in the catalog"
             ) from None
 
-    def __contains__(self, system: ArrowSet) -> bool:
-        return system.lattice is self.lattice and system.mask in self._positions
+    def __contains__(self, system: object) -> bool:
+        return (
+            isinstance(system, ArrowSet)
+            and system.lattice is self.lattice
+            and system.mask in self._positions
+        )
 
 
 def closed_sets(
@@ -65,15 +69,15 @@ def closed_sets(
     """Every closed set of an extension kernel, between lo and hi.
 
     extend(mask, new) is the closure of mask | new for a closed mask, as
-    arrows._extend with one rule table and row table bound.  The search
-    decides one arrow at a time, in canonical order.  Including an arrow
-    extends the closed set so far by that arrow alone; a branch dies as
-    soon as the result meets an excluded arrow.  Every closed set is
-    produced exactly once, because the first arrow on which two closed
+    the closure kernels of arrows._Tables are (t.transfer, t.wide, ...).
+    The search decides one arrow at a time, in canonical order.  Including
+    an arrow extends the closed set so far by that arrow alone; a branch
+    dies as soon as the result meets an excluded arrow.  Every closed set
+    is produced exactly once, because the first arrow on which two closed
     sets differ was decided by distinct branches.  Every arrow before the
     current one is already decided and the exclusion branch is walked
-    first, so the output comes out in canonical order.  It starts
-    from extend(0, lo), with every arrow outside hi excluded.
+    first, so the output comes out in canonical order.  It starts from
+    extend(0, lo), with every arrow outside hi excluded.
     """
     m = len(lat.arrows)
     out: list[ArrowSet] = []
@@ -97,8 +101,7 @@ def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
     """Every transfer system on the lattice, kept on it for later queries."""
     catalog = lat._cache.get("transfers")
     if catalog is None:
-        t = _tables(lat)
-        systems = closed_sets(lat, partial(_extend, t.compose_at, t.pull))
+        systems = closed_sets(lat, _tables(lat).transfer)
         catalog = lat._cache["transfers"] = TransferCatalog(lat, systems)
     return catalog
 
@@ -107,8 +110,7 @@ def cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     """Every cotransfer system, in the same canonical order, kept likewise."""
     systems = lat._cache.get("cotransfers")
     if systems is None:
-        t = _tables(lat)
-        systems = closed_sets(lat, partial(_extend, t.compose_at, t.push))
+        systems = closed_sets(lat, _tables(lat).cotransfer)
         lat._cache["cotransfers"] = systems
     return systems
 

@@ -368,10 +368,12 @@ def systems_between(systems: list[int], lo: int, hi: int) -> list[int]:
 def two_of_three_pass(t, mask: int) -> int:
     """One pass completing every triangle that holds exactly two arrows.
 
-    t is the lattice's closure tables (latmod.arrows._tables).  A set is
-    closed under two-out-of-three exactly when the pass adds nothing.
+    t is the lattice's closure tables (latmod.arrows._tables), whose
+    triples give the triangles.  A set is closed under two-out-of-three
+    exactly when the pass adds nothing.
     """
-    for triangle in t.triangles:
+    for first, second, composite in t.triples:
+        triangle = first | second | composite
         has = mask & triangle
         # exactly two of the three arrows: not all, and not at most one
         if has != triangle and has & (has - 1):

@@ -1,6 +1,5 @@
 import copy
 import random
-from functools import partial
 
 import pytest
 
@@ -30,9 +29,9 @@ from latmod import (
     product,
     rlp_dual,
     t_max,
+    weq_components,
 )
-from latmod.arrows import _extend, _tables, _two_of_three_closed, _union_bytes
-from latmod.lattice import _union_rows
+from latmod.arrows import _llp, _rlp, _tables, _two_of_three_closed, _union_bytes
 
 from conftest import lattice_as_sets
 from oracles import (
@@ -187,17 +186,12 @@ def test_extending_a_closed_set_by_one_arrow_is_the_closure_from_zero(corpus):
     cube = product(product(chain(1), chain(1)), chain(1))
     for lat in (*corpus.values(), cube):
         t = _tables(lat)
-        for rules, rows in (
-            (t.compose_at, t.pull),
-            (t.compose_at, t.push),
-            (t.compose_at, t.legs),
-            (t.two_of_three_at, t.no_rows),
-        ):
-            for s in closed_sets(lat, partial(_extend, rules, rows)):
-                assert _extend(rules, rows, 0, s.mask) == s.mask
+        for extend in (t.transfer, t.cotransfer, t.wide, t.two_of_three):
+            for s in closed_sets(lat, extend):
+                assert extend(0, s.mask) == s.mask
                 for i in range(t.m):
-                    grown = _extend(rules, rows, s.mask, 1 << i)
-                    assert grown == _extend(rules, rows, 0, s.mask | 1 << i)
+                    grown = extend(s.mask, 1 << i)
+                    assert grown == extend(0, s.mask | 1 << i)
 
 
 def test_two_out_of_three_worked_example(pentagon):
@@ -382,10 +376,33 @@ def test_pullback_and_pushout_tables_are_closed_under_themselves(corpus):
                         assert rows[j] & ~(row | 1 << i) == 0
 
 
+def role_union(t, mask):
+    # The union of the role rows over mask, from their definition: bit
+    # 3t + p when mask holds place p (first leg, second leg, composite) of
+    # triangle t.
+    return sum(
+        1 << 3 * i + place
+        for i, triple in enumerate(t.triples)
+        for place, bit in enumerate(triple)
+        if mask & bit
+    )
+
+
+def naive_dual(naive, pairs, leq, mask):
+    # The lifting dual of mask as a mask, from a pair-set oracle over the
+    # lattice's arrow pairs in canonical order.
+    against = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+    dual = naive(pairs, leq, against)
+    return sum(1 << i for i, p in enumerate(pairs) if p in dual)
+
+
 @pytest.mark.parametrize("table", ["kill_llp", "kill_rlp", "roles"])
 def test_byte_tables_match_the_row_unions(corpus, table):
-    # grid2x2 has 27 arrows, so its last chunk holds three rows; the
-    # one-element lattice has none and no chunks.
+    # Each byte table of axiom_bytes (kill_llp, kill_rlp, roles in that
+    # order) against an oracle: llp and rlp through naive_llp and
+    # naive_rlp, the roles from the triples.  grid2x2 has 27 arrows, so
+    # its last chunk holds three rows; the one-element lattice has none
+    # and no chunks.
     lattices = [
         *corpus.values(),
         product(product(chain(1), chain(1)), chain(1)),
@@ -394,14 +411,26 @@ def test_byte_tables_match_the_row_unions(corpus, table):
     ]
     assert [len(lat.arrows) for lat in lattices[-2:]] == [27, 0]
     rng = random.Random(2718)
+    column = ["kill_llp", "kill_rlp", "roles"].index(table) + 1
     for lat in lattices:
         t = _tables(lat)
-        rows, chunks = getattr(t, table), getattr(t, f"{table}_bytes")
+        _, leq, _, _, _ = lattice_as_sets(lat)
+        pairs = [(f.source, f.target) for f in lat.arrows]
+        chunks = tuple(entry[column] for entry in t.axiom_bytes)
         assert len(chunks) == -(-t.m // 8)
+        assert [entry[0] for entry in t.axiom_bytes] == list(range(0, t.m, 8))
         masks = [1 << i for i in range(t.m)] + [t.full]
         masks += [rng.getrandbits(t.m) for _ in range(200)]
         for mask in masks:
-            assert _union_bytes(chunks, mask) == _union_rows(rows, mask)
+            union = _union_bytes(chunks, mask)
+            if table == "roles":
+                assert union == role_union(t, mask)
+            else:
+                dual, naive = (
+                    (_llp, naive_llp) if table == "kill_llp" else (_rlp, naive_rlp)
+                )
+                want = naive_dual(naive, pairs, leq, mask)
+                assert t.full & ~union == dual(t, mask) == want
 
 
 def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
@@ -409,11 +438,10 @@ def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
     # one pass completing such triangles adds nothing.
     for lat in (pentagon, square, grid21, chain(5)):
         t = _tables(lat)
-        assert t.role_base.bit_length() == 3 * len(t.triangles) - 2
+        assert t.role_base.bit_length() == 3 * len(t.triples) - 2
         for mask in range(1 << t.m):
             want = two_of_three_pass(t, mask) == mask
-            roles = _union_bytes(t.roles_bytes, mask)
-            assert _two_of_three_closed(t.role_base, roles) == want
+            assert _two_of_three_closed(t.role_base, role_union(t, mask)) == want
 
 
 def _cube():
@@ -441,6 +469,7 @@ STRAY_BIT_CALLS = {
     "is_weak_equivalence_set": is_weak_equivalence_set,
     "t_max": t_max,
     "k_max": k_max,
+    "weq_components": weq_components,
     "derive_classes-weq": lambda a: derive_classes(a, ArrowSet.empty(a.lattice)),
     "derive_classes-af": lambda a: derive_classes(ArrowSet.empty(a.lattice), a),
     "derive_classes-weq-unchecked": lambda a: derive_classes(

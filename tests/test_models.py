@@ -10,6 +10,7 @@ from latmod import (
     NotAWeakEquivalenceSet,
     NotAdmissible,
     af_interval,
+    build_lattice,
     chain,
     close_two_out_of_three,
     close_wide_decomposable,
@@ -111,8 +112,16 @@ def test_weq_counts_beyond_the_old_arrow_cutoff():
         assert len(enumerate_weak_equivalence_sets(lat)) == count
 
 
+def m3():
+    """The diamond with three atoms, 0 < a, b, c < 1."""
+    return build_lattice(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+    )
+
+
 def test_criterion_matches_the_chain_walk_on_every_subset(corpus):
-    for lat in corpus.values():
+    for lat in (*corpus.values(), m3()):
         every = [ArrowSet(lat, mask) for mask in range(1 << len(lat.arrows))]
         agrees_with_chain_walk(lat, every)
 
@@ -123,8 +132,10 @@ def test_criterion_matches_the_chain_walk_on_every_subset(corpus):
         (lambda: product(product(chain(1), chain(1)), chain(1)), 159),
         (lambda: product(chain(3), chain(1)), 56),
         (lambda: product(chain(2), chain(2)), 224),
+        (lambda: product(m3(), chain(1)), 2588),
+        (lambda: product(n5(), chain(1)), 1350),
     ],
-    ids=["cube", "grid3x1", "grid2x2"],
+    ids=["cube", "grid3x1", "grid2x2", "m3xchain1", "n5xchain1"],
 )
 def test_criterion_matches_the_chain_walk_on_candidates(build, rejected):
     lat = build()

@@ -41,6 +41,24 @@ def test_library_has_no_cached_property():
     assert found == []
 
 
+def test_only_arrows_spells_out_the_closure_kinds():
+    # Each closure kind is a kernel bound once in arrows._Tables; other
+    # modules call t.transfer, t.wide, t.localize[side] and so on, and
+    # never import the raw kernel or read its rule tables.
+    spelled = {"_extend", "compose_at", "two_of_three_at"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "arrows.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id in spelled)
+        or (isinstance(node, ast.Attribute) and node.attr in spelled)
+        or (isinstance(node, ast.alias) and {node.name, node.asname} & spelled)
+    ]
+    assert len(SOURCES) > 1
+    assert found == []
+
+
 def _run_python(code: str) -> subprocess.CompletedProcess:
     src = Path(latmod.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

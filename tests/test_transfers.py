@@ -1,10 +1,10 @@
 import math
 import random
-from functools import partial
 
 import pytest
 
 from latmod import (
+    Arrow,
     ArrowSet,
     NotATransferSystem,
     chain,
@@ -22,7 +22,7 @@ from latmod import (
     tr_meet,
     transfer_catalog,
 )
-from latmod.arrows import _extend, _tables
+from latmod.arrows import _tables
 
 from conftest import lattice_as_sets
 from oracles import all_transfer_systems_naive, lex_key
@@ -71,8 +71,7 @@ def test_bounded_walk_is_the_filtered_list(pentagon, grid21):
         m = len(lat.arrows)
         full = (1 << m) - 1
         rng = random.Random(23)
-        for rows in (t.pull, t.push, t.legs):
-            extend = partial(_extend, t.compose_at, rows)
+        for extend in (t.transfer, t.cotransfer, t.wide):
             every = [s.mask for s in closed_sets(lat, extend)]
             bounds = [(0, -1), (0, full), (full, full), (full, 0)]
             for _ in range(40):
@@ -90,8 +89,7 @@ def test_bounded_walk_is_the_filtered_list(pentagon, grid21):
                     empty_by_closure += 1
     # {0->A, A->C} misses its composite, so no transfer system lies in it.
     gap = ArrowSet.from_labels(pentagon, [("0", "A"), ("A", "C")]).mask
-    t = _tables(pentagon)
-    extend = partial(_extend, t.compose_at, t.pull)
+    extend = _tables(pentagon).transfer
     assert closed_sets(pentagon, extend, gap, gap) == ()
     assert empty_by_closure > 0
 
@@ -118,6 +116,18 @@ def test_catalog_membership_api(pentagon):
     assert not_closed not in catalog
     with pytest.raises(NotATransferSystem):
         catalog.position(not_closed)
+
+
+@pytest.mark.parametrize(
+    "thing", [None, 5, "a", Arrow(0, 1)], ids=["None", "int", "str", "arrow"]
+)
+def test_catalog_refuses_what_is_not_an_arrow_set(pentagon, thing):
+    # As ArrowSet.__contains__ answers False for a non-arrow, a catalog
+    # holds nothing that is not an arrow set, and has no position for it.
+    catalog = transfer_catalog(pentagon)
+    assert thing not in catalog
+    with pytest.raises(NotATransferSystem, match="is not an arrow set"):
+        catalog.position(thing)
 
 
 def test_catalog_refuses_another_lattices_sets():
