@@ -26,7 +26,10 @@ class ArrowSet:
     """An immutable set of non-identity arrows of one lattice.
 
     Two slots and no instance dict: equal lattice and mask give equal
-    sets with equal hashes, and assignment raises AttributeError.
+    sets with equal hashes, and assignment raises AttributeError.  Every
+    bit of the mask names an arrow: a bit at or above the arrow count,
+    or a negative mask, raises UnknownLabel here, so no closure, dual or
+    predicate meets one.
     """
 
     __slots__ = ("lattice", "mask")
@@ -35,6 +38,11 @@ class ArrowSet:
     mask: int
 
     def __init__(self, lattice: FiniteLattice, mask: int) -> None:
+        if mask >> len(lattice.arrows):
+            m = len(lattice.arrows)
+            stray = mask >> m << m
+            bit = (stray & -stray).bit_length() - 1
+            raise UnknownLabel(f"bit {bit} names no arrow: the lattice has {m} arrows")
         _set_lattice(self, lattice)
         _set_mask(self, mask)
 
@@ -319,17 +327,6 @@ def _tables(lat: FiniteLattice) -> _Tables:
     return _cached(lat._cache, "tables", _Tables, lat)
 
 
-def _checked(aset: ArrowSet) -> _Tables:
-    # The tables, once every bit of aset names an arrow: ArrowSet takes any
-    # int, and a stray bit would index past the rows or be dropped.
-    t = _tables(aset.lattice)
-    stray = aset.mask & ~t.full
-    if stray:
-        bit = (stray & -stray).bit_length() - 1
-        raise UnknownLabel(f"bit {bit} names no arrow: the lattice has {t.m} arrows")
-    return t
-
-
 def _extend(rules, rows, mask: int, new: int) -> int:
     """The closure of mask | new under one rule table and row table.
 
@@ -363,7 +360,7 @@ def _extend(rules, rows, mask: int, new: int) -> int:
 
 def close_composition(aset: ArrowSet) -> ArrowSet:
     """Smallest superset closed under composition of composable pairs."""
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, t.compose(0, aset.mask))
 
 
@@ -373,7 +370,7 @@ def close_pullback(aset: ArrowSet) -> ArrowSet:
     One pass suffices: a pullback of a pullback of f is a pullback of f
     (meets are associative), so each pull row is closed under pull.
     """
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, aset.mask | _union_rows(t.pull, aset.mask))
 
 
@@ -382,13 +379,13 @@ def close_pushout(aset: ArrowSet) -> ArrowSet:
 
     One pass suffices, dually to close_pullback (joins are associative).
     """
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, aset.mask | _union_rows(t.push, aset.mask))
 
 
 def close_two_out_of_three(aset: ArrowSet) -> ArrowSet:
     """Close under composition and both cancellation rules."""
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, t.two_of_three(0, aset.mask))
 
 
@@ -398,7 +395,7 @@ def close_wide_decomposable(aset: ArrowSet) -> ArrowSet:
     Closes under both directions of every composable pair at once: both
     legs force the composite, and a composite forces both of its legs.
     """
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, t.wide(0, aset.mask))
 
 
@@ -409,8 +406,8 @@ def compose_sets(upper: ArrowSet, lower: ArrowSet) -> ArrowSet:
     closure is applied beyond the single composition.
     """
     low = upper._compatible(lower)
-    _checked(lower)
-    return ArrowSet(upper.lattice, _composites(_checked(upper), upper.mask, low))
+    t = _tables(upper.lattice)
+    return ArrowSet(upper.lattice, _composites(t, upper.mask, low))
 
 
 def _composites(t: _Tables, high: int, low: int) -> int:
@@ -426,13 +423,13 @@ def _composites(t: _Tables, high: int, low: int) -> int:
 
 
 def is_composition_closed(aset: ArrowSet) -> bool:
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return t.compose(0, aset.mask) == aset.mask
 
 
 def is_wide_decomposable(aset: ArrowSet) -> bool:
     """True when every member's two-step factorizations stay inside the set."""
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     mask = aset.mask
     for first, second, composite in t.triples:
         if mask & composite and not (mask & first and mask & second):
@@ -476,24 +473,24 @@ def generate_transfer(aset: ArrowSet) -> ArrowSet:
     along z.  The tests check it against that form and against the
     intersection of all containing systems.
     """
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, t.transfer(0, aset.mask))
 
 
 def generate_cotransfer(aset: ArrowSet) -> ArrowSet:
     """Smallest cotransfer system containing the given arrows."""
-    t = _checked(aset)
+    t = _tables(aset.lattice)
     return ArrowSet(aset.lattice, t.cotransfer(0, aset.mask))
 
 
 def llp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the left lifting property against every member."""
-    return ArrowSet(aset.lattice, _llp(_checked(aset), aset.mask))
+    return ArrowSet(aset.lattice, _llp(_tables(aset.lattice), aset.mask))
 
 
 def rlp_dual(aset: ArrowSet) -> ArrowSet:
     """Arrows with the right lifting property against every member."""
-    return ArrowSet(aset.lattice, _rlp(_checked(aset), aset.mask))
+    return ArrowSet(aset.lattice, _rlp(_tables(aset.lattice), aset.mask))
 
 
 def _llp(t: _Tables, mask: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arrows import ArrowSet, _Tables, _checked, _tables
+from .arrows import ArrowSet, _Tables, _tables
 from .errors import FixpointError, NotShort, UnknownLabel
 from .lattice import Arrow, FiniteLattice, _bits, _union_rows
 from .models import (
@@ -27,7 +27,6 @@ from .models import (
 
 def weq_components(weq: ArrowSet) -> tuple[tuple[int, ...], ...]:
     """Blocks of elements connected by weak equivalences, sorted by minimum."""
-    _checked(weq)
     return tuple(
         tuple(_bits(block))
         for x, block in enumerate(_blocks(weq))

@@ -23,7 +23,7 @@ from .arrows import (
     is_cotransfer_system,
     is_transfer_system,
     rlp_dual,
-    _checked,
+    _Tables,
     _composites,
     _llp,
     _rlp,
@@ -58,10 +58,13 @@ def is_weak_equivalence_set(weq: ArrowSet) -> bool:
         (pullback) of a composite is a composite of pushouts (pullbacks),
         and the composite, a factor of the member, lies in W.
     """
-    t = _checked(weq)
+    t = _tables(weq.lattice)
     w = weq.mask
-    if t.wide(0, w) != w:
-        return False
+    return t.wide(0, w) == w and _factors(t, w)
+
+
+def _factors(t: _Tables, w: int) -> bool:
+    # Whether each member of w is a k_max(w) arrow then a t_max(w) arrow.
     return _composites(t, _inside(w, t.pull), _inside(w, t.push)) == w
 
 
@@ -69,17 +72,15 @@ def enumerate_weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     """All weak equivalence sets, in canonical (bit vector) order.
 
     Candidates are the composition-closed, wide decomposable sets, listed
-    as the fixed points of their closure; the factorization test filters
-    them.
+    as the fixed points of their closure; the factorization test alone
+    filters them, as each is closed already.
     """
     return _cached(lat._cache, "weq_sets", _weak_equivalence_sets, lat)
 
 
 def _weak_equivalence_sets(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     t = _tables(lat)
-    return tuple(
-        weq for weq in closed_sets(lat, t.wide) if is_weak_equivalence_set(weq)
-    )
+    return tuple(weq for weq in closed_sets(lat, t.wide) if _factors(t, weq.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +97,14 @@ def t_max(weq: ArrowSet) -> ArrowSet:
     every transfer system is the union of the systems its members generate.
     """
     return _largest_inside(
-        weq, _checked(weq).pull, is_transfer_system, "transfer"
+        weq, _tables(weq.lattice).pull, is_transfer_system, "transfer"
     )
 
 
 def k_max(weq: ArrowSet) -> ArrowSet:
     """Largest cotransfer system inside the weak equivalences."""
     return _largest_inside(
-        weq, _checked(weq).push, is_cotransfer_system, "cotransfer"
+        weq, _tables(weq.lattice).push, is_cotransfer_system, "cotransfer"
     )
 
 
@@ -181,7 +182,7 @@ def derive_classes(
     NotAdmissible unless AF is one of the systems of af_interval(W), and
     NotAWeakEquivalenceSet unless W is a weak equivalence set.  With check
     disabled it derives a fresh structure from any pair.  Sets of two
-    lattices raise ValueError, a bit that names no arrow UnknownLabel.
+    lattices raise ValueError.
     """
     lat = weq.lattice
     if acyclic_fib.lattice is not lat:
@@ -192,10 +193,7 @@ def derive_classes(
         model = table.get(acyclic_fib.mask)
         if model is not None:
             return model
-        if not acyclic_fib.mask >> len(lat.arrows):
-            raise NotAdmissible(weq, acyclic_fib)
-    _checked(weq)  # a stray bit raises, so a checked call stops here
-    _checked(acyclic_fib)
+        raise NotAdmissible(weq, acyclic_fib)
     return _derive(weq, acyclic_fib)
 
 
@@ -257,9 +255,8 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     Verifies the lifting identities of both weak factorization systems,
     llp(AF) = C, rlp(C) = AF, llp(F) = AC and rlp(AC) = F, the class
     identities AF <= W, AC = C & W and AF = F & W, and two-out-of-three
-    for W.  A class with a bit at or above the arrow count names no arrow
-    and fails; classes from different lattices raise the ValueError of
-    mixing them in a set operation.
+    for W.  Classes from different lattices raise the ValueError of mixing
+    them in a set operation.
 
     No retract check is needed: a retract diagram a -> x -> a in a poset
     forces a = x, so every class is closed under retracts.  Nor is a
@@ -296,8 +293,6 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     t = lat._cache.get("tables") or _tables(lat)
     weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
     full = t.full
-    if (weq | af | cof | ac | fib) & ~full:
-        return False
     # One pass over the masks' bytes: the unions of kill rows that give
     # llp(AF), llp(F), rlp(C) and rlp(AC), and W's union of role rows.
     kill_af = kill_fib = kill_cof = kill_ac = roles = 0

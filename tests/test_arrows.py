@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -448,8 +449,9 @@ def _cube():
     return product(product(chain(1), chain(1)), chain(1))
 
 
-# Public entry points that take arrow sets, each called with one set that
-# has a stray bit (the other argument, if any, empty).
+# Public entry points that take arrow sets, each given one set with a
+# stray bit (the other argument, if any, empty).  The set fails to build
+# before the call, so none of them needs a range check of its own.
 STRAY_BIT_CALLS = {
     "llp_dual": llp_dual,
     "rlp_dual": rlp_dual,
@@ -487,13 +489,74 @@ STRAY_BIT_CALLS = {
     "build", [lambda: product(chain(1), chain(1)), _cube], ids=["square", "cube"]
 )
 def test_a_bit_past_the_last_arrow_is_refused(build, place, call):
-    # ArrowSet takes any int.  A bit at m (the arrow count) indexed past
-    # the byte tables, and one at the end of the last byte, 8 * ceil(m / 8),
-    # was silently dropped; both, and one far past them, name no arrow.
-    # Each call runs on a fresh lattice, so derive_classes is cold.
+    # A bit at m (the arrow count) indexed past the byte tables, and one at
+    # the end of the last byte, 8 * ceil(m / 8), was silently dropped; both,
+    # and one far past them, name no arrow.  Each call gets a fresh lattice.
     lat = build()
     m = len(lat.arrows)
     bit = {"m": m, "byte-end": -(-m // 8) * 8, "m+64": m + 64}[place]
     with pytest.raises(UnknownLabel) as err:
         call(ArrowSet(lat, 1 << bit | 1))
     assert str(err.value) == f"bit {bit} names no arrow: the lattice has {m} arrows"
+
+
+def _square():
+    return product(chain(1), chain(1))
+
+
+@pytest.mark.parametrize(
+    "place", ["m", "byte-end", "m+64", "negative", "negative-from-m+3"]
+)
+@pytest.mark.parametrize("build", [_square, _cube], ids=["square", "cube"])
+def test_an_arrow_set_with_a_bit_past_the_last_arrow_cannot_be_built(build, place):
+    # The range check sits in ArrowSet itself.  A negative mask sets every
+    # bit from some point up, so it names no arrow either; the message
+    # names the lowest bit at or above the arrow count.
+    lat = build()
+    m = len(lat.arrows)
+    byte_end = -(-m // 8) * 8
+    mask, bit = {
+        "m": (1 << m | 1, m),
+        "byte-end": (1 << byte_end | 1, byte_end),
+        "m+64": (1 << m + 64 | 1, m + 64),
+        "negative": (-1, m),
+        "negative-from-m+3": (-(1 << m + 3), m + 3),
+    }[place]
+    with pytest.raises(UnknownLabel) as err:
+        ArrowSet(lat, mask)
+    assert str(err.value) == f"bit {bit} names no arrow: the lattice has {m} arrows"
+    ArrowSet(lat, (1 << m) - 1)  # the full set is the largest that builds
+
+
+@pytest.mark.parametrize(
+    "build, step", [(_square, 1), (_cube, 127)], ids=["square", "cube"]
+)
+def test_size_truth_members_and_signature_agree(build, step):
+    # Every mask of the square, and every 127th of the cube's 2^19 with
+    # the full one (all 2^19 take seconds): len and bool count the mask's
+    # bits, list and signature walk the arrows, and they agree.
+    lat = build()
+    m = len(lat.arrows)
+    for mask in [*range(0, 1 << m, step), (1 << m) - 1]:
+        a = ArrowSet(lat, mask)
+        members = list(a)
+        assert members == [f for i, f in enumerate(lat.arrows) if mask >> i & 1]
+        assert len(a) == len(members) and bool(a) == bool(members)
+        assert a.signature() == "{" + ", ".join(map(lat.arrow_name, members)) + "}"
+
+
+@pytest.mark.parametrize("build", [_square, _cube], ids=["square", "cube"])
+def test_a_valid_set_survives_a_pickle_round_trip(build):
+    # __reduce__ rebuilds through ArrowSet(lattice, mask), range check
+    # included.  Lattices compare by identity, and the round trip copies
+    # the lattice, so the copy is compared by its parts.
+    lat = build()
+    m = len(lat.arrows)
+    for mask in (0, 0b10110, (1 << m) - 1):
+        a = ArrowSet(lat, mask)
+        b = pickle.loads(pickle.dumps(a))
+        assert b.mask == mask and b.signature() == a.signature()
+        assert b.lattice is not lat and b.lattice.arrows == lat.arrows
+        assert list(b) == list(a)
+        cls, args = a.__reduce__()
+        assert cls(*args) == a

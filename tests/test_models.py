@@ -9,6 +9,7 @@ from latmod import (
     ModelStructure,
     NotAWeakEquivalenceSet,
     NotAdmissible,
+    UnknownLabel,
     af_interval,
     build_lattice,
     chain,
@@ -38,6 +39,7 @@ from latmod.arrows import (
     _rlp,
     _tables,
 )
+from latmod.models import _factors
 
 from conftest import lattice_as_sets
 from oracles import (
@@ -448,16 +450,18 @@ def test_model_structures_are_immutable_records(pentagon):
 
 
 def test_each_weq_set_is_checked_once(monkeypatch):
-    # The enumeration's filter checks each candidate, and the model tables
-    # of the sets it accepts are built without a second check; a table
-    # derived on demand checks its W once, before it is built.
+    # The enumeration's filter runs the factorization test once on each
+    # candidate, which its closure has made wide decomposable, and the
+    # model tables of the sets it accepts are built without a second
+    # test; a table derived on demand tests its W once, through
+    # is_weak_equivalence_set, before it is built.
     checked = []
 
-    def counted(weq):
-        checked.append(weq.mask)
-        return is_weak_equivalence_set(weq)
+    def counted(t, w):
+        checked.append(w)
+        return _factors(t, w)
 
-    monkeypatch.setattr("latmod.models.is_weak_equivalence_set", counted)
+    monkeypatch.setattr("latmod.models._factors", counted)
     for lat in fresh_corpus():
         checked.clear()
         models = enumerate_model_structures(lat)
@@ -686,21 +690,23 @@ def test_every_lifting_pair_factors(build, pairs):
 
 
 def test_verify_refuses_an_arrow_bit_past_the_last_arrow(pentagon, square):
-    # An ArrowSet takes any int; a bit at or above the arrow count names
-    # no arrow, and a negative mask sets all of them.
-    lat = pentagon
-    trivial = enumerate_model_structures(lat)[0]
-    assert verify_model_axioms(trivial)
-    assert not verify_model_axioms(trivial._replace(weq=ArrowSet(lat, 1 << 8)))
+    # A class with a bit at or above the arrow count, or a negative mask,
+    # which sets all of them, names no arrow: it fails to build, so no such
+    # structure reaches verify_model_axioms.
     classes = ("weq", "acyclic_fib", "cof", "acyclic_cof", "fib")
     for lat in (pentagon, square):
-        past = 1 << len(lat.arrows)
+        m = len(lat.arrows)
+        past = 1 << m
         for model in enumerate_model_structures(lat):
+            assert verify_model_axioms(model)
             for name in classes:
                 mask = getattr(model, name).mask
-                for bad in (mask | past, mask | past << 3, -1):
-                    changed = model._replace(**{name: ArrowSet(lat, bad)})
-                    assert not verify_model_axioms(changed)
+                for bad, bit in ((mask | past, m), (mask | past << 3, m + 3), (-1, m)):
+                    with pytest.raises(UnknownLabel) as err:
+                        model._replace(**{name: ArrowSet(lat, bad)})
+                    assert str(err.value) == (
+                        f"bit {bit} names no arrow: the lattice has {m} arrows"
+                    )
 
 
 def test_verify_refuses_classes_from_another_lattice():
