@@ -176,14 +176,14 @@ class _Tables:
 
     Each closure kind is one kernel, kernel(mask, new): _extend bound in
     __init__ to a rule table and a row table (compose, transfer,
-    cotransfer, wide, two_of_three and localize[side]).  The lifting duals
-    read kill_llp_bytes and kill_rlp_bytes, byte tables of the kill rows
-    for _union_bytes; axiom_bytes zips them with the role byte table, per
-    byte with its bit offset, for the one pass of verify_model_axioms.
+    cotransfer, wide, two_of_three and localize[side]).  axiom_bytes is
+    the one per-byte table: per byte of an arrow mask, its bit offset and
+    the byte tables of the kill_llp, kill_rlp and role rows.  The lifting
+    duals read its llp or rlp column, and verify_model_axioms all three
+    in one pass.
     """
 
     __slots__ = (
-        "m",
         "full",
         "pull",
         "push",
@@ -192,8 +192,6 @@ class _Tables:
         "up",
         "down",
         "role_base",
-        "kill_llp_bytes",
-        "kill_rlp_bytes",
         "axiom_bytes",
         "compose",
         "transfer",
@@ -206,7 +204,7 @@ class _Tables:
     def __init__(self, lat: FiniteLattice) -> None:
         arrows = lat.arrows
         pos = lat.arrow_position
-        m = self.m = len(arrows)
+        m = len(arrows)
         self.full = (1 << m) - 1
 
         pull = self.pull = tuple(
@@ -282,9 +280,7 @@ class _Tables:
         self.down = tuple(
             sum(1 << x for x in elems if self.up[x] >> y & 1) for y in elems
         )
-        self.kill_llp_bytes = _byte_table(kill_llp)
-        self.kill_rlp_bytes = _byte_table(kill_rlp)
-        chunks = zip(self.kill_llp_bytes, self.kill_rlp_bytes, _byte_table(roles))
+        chunks = zip(_byte_table(kill_llp), _byte_table(kill_rlp), _byte_table(roles))
         self.axiom_bytes = tuple((8 * c, *byte) for c, byte in enumerate(chunks))
 
 
@@ -301,19 +297,6 @@ def _byte_table(rows: list[int]) -> tuple[tuple[int, ...], ...]:
             table[b] = table[b ^ low] | chunk[low.bit_length() - 1]
         out.append(tuple(table))
     return tuple(out)
-
-
-def _union_bytes(chunks: tuple[tuple[int, ...], ...], mask: int) -> int:
-    """The union of the rows over the set bits of mask, from a byte table.
-
-    Equal to _union_rows(rows, mask) for chunks = _byte_table(rows), in
-    one lookup per byte of the arrow mask instead of one per set bit.
-    """
-    out = 0
-    for table in chunks:
-        out |= table[mask & 255]
-        mask >>= 8
-    return out
 
 
 def _mask_of(pos: dict[Arrow, int], arrows: Iterable[Arrow]) -> int:
@@ -494,8 +477,15 @@ def rlp_dual(aset: ArrowSet) -> ArrowSet:
 
 
 def _llp(t: _Tables, mask: int) -> int:
-    return t.full & ~_union_bytes(t.kill_llp_bytes, mask)
+    # The union of mask's kill_llp rows, one lookup per byte of the mask.
+    kill = 0
+    for s, llp, _, _ in t.axiom_bytes:
+        kill |= llp[mask >> s & 255]
+    return t.full & ~kill
 
 
 def _rlp(t: _Tables, mask: int) -> int:
-    return t.full & ~_union_bytes(t.kill_rlp_bytes, mask)
+    kill = 0
+    for s, _, rlp, _ in t.axiom_bytes:
+        kill |= rlp[mask >> s & 255]
+    return t.full & ~kill

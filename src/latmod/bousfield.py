@@ -81,7 +81,7 @@ def golden_arrows(
     whose entry k holds them once arrow k has passed the checks (None
     until then), so a warm call reads the entry before any check.
     """
-    lat, weq = model[0], model[1]
+    lat, weq = model.lattice, model.weq
     try:
         reports = lat._cache["golden"][weq.mask][lat.arrow_position[f]]
     except (KeyError, TypeError):  # no row for W, or f no hashable arrow
@@ -199,10 +199,10 @@ def _not_kept(model: ModelStructure, f: Arrow, side: str) -> FixpointError:
 
 def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
     # Warm, int-keyed dict reads: W' in W's row of the side's localization
-    # map, then W''s model table and AF' in it; models are read by index
-    # (AF 2, C 3, F 5).  A miss runs the closure, or derive_classes with
-    # the check on, which builds the table or raises that pair's error.
-    lat, w = model[0], model[1].mask
+    # map, then W''s model table and AF' in it.  A miss runs the closure,
+    # or derive_classes with the check on, which builds the table or raises
+    # that pair's error.
+    lat, w = model.lattice, model.weq.mask
     try:
         k = lat.arrow_position[f]
     except (KeyError, TypeError):  # not an arrow, or unhashable
@@ -215,14 +215,14 @@ def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
     if not new_weq:
         new_weq = _localized_weq(lat, w, k, side)
     # Right localization keeps F, so AF' = W' & F; left keeps C and AF.
-    slot = 5 if side == "right" else 3
-    kept = model[slot].mask
-    new_af = new_weq & kept if slot == 5 else model[2].mask
+    right = side == "right"
+    kept = model.fib.mask if right else model.cof.mask
+    new_af = new_weq & kept if right else model.acyclic_fib.mask
     table = cache["model_tables"].get(new_weq)
     localized = None if table is None else table.get(new_af)
     if localized is None:
         localized = derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))
-    if localized[slot].mask != kept:
+    if (localized.fib if right else localized.cof).mask != kept:
         raise _not_kept(model, lat.arrows[k], side)
     return localized
 
@@ -321,7 +321,8 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
                 if kept[j] != kept[i]:
                     raise _not_kept(structures[i], arrows[k], side)
                 edges.append(LocalizationEdge(i, j, side, arrows[k]))
-    return LocalizationGraph(structures, tuple(edges), index[0][0])
+    # Canonical order puts W = AF = {} first: the trivial structure.
+    return LocalizationGraph(structures, tuple(edges), 0)
 
 
 def _search(graph: LocalizationGraph, start: int, directed: bool) -> frozenset[int]:

@@ -28,8 +28,6 @@ from .models import (
     derive_classes,
     enumerate_model_structures,
     enumerate_weak_equivalence_sets,
-    t_max,
-    t_min,
     verify_model_axioms,
 )
 from .serialize import (
@@ -220,13 +218,15 @@ def _cmd_models(args: argparse.Namespace) -> int:
             buf = io.StringIO()
             writer = csv.writer(buf)
             writer.writerow(["weq", "t_min", "t_max", "af_count", "af_interval"])
+            # Catalog order refines containment, so each interval runs
+            # from t_min(W) to t_max(W).
             for weq in enumerate_weak_equivalence_sets(lat):
                 interval = af_interval(weq)
                 writer.writerow(
                     [
                         weq.signature(),
-                        t_min(weq).signature(),
-                        t_max(weq).signature(),
+                        interval[0].signature(),
+                        interval[-1].signature(),
                         len(interval),
                     ]
                     + [s.signature() for s in interval]
@@ -263,8 +263,8 @@ def _cmd_models(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "weq": weq.label_pairs(),
-                "t_min": t_min(weq).label_pairs(),
-                "t_max": t_max(weq).label_pairs(),
+                "t_min": interval[0].label_pairs(),
+                "t_max": interval[-1].label_pairs(),
                 "count": len(interval),
                 "interval": [s.label_pairs() for s in interval],
             },

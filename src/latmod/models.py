@@ -288,7 +288,7 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     lat, weq, af, cof, ac, fib = model
     if not (lat is weq.lattice is af.lattice is cof.lattice is ac.lattice
             is fib.lattice):
-        for aset in model[1:]:
+        for aset in (weq, af, cof, ac, fib):
             ArrowSet.empty(lat)._compatible(aset)  # raises for the stray one
     t = lat._cache.get("tables") or _tables(lat)
     weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask

@@ -133,13 +133,17 @@ def serialize_golden_reports(
 
 def _read_json(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise LatmodError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise LatmodError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise LatmodError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise LatmodError(f"{path} nests too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .arrows import (
     _tables,
 )
 from .errors import NotALattice, NotATransferSystem
-from .lattice import Arrow, FiniteLattice, build_lattice, hasse_covers
+from .lattice import Arrow, FiniteLattice, _cached, build_lattice, hasse_covers
 
 
 class TransferCatalog:
@@ -99,20 +99,16 @@ def closed_sets(
 
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
     """Every transfer system on the lattice, kept on it for later queries."""
-    catalog = lat._cache.get("transfers")
-    if catalog is None:
-        systems = closed_sets(lat, _tables(lat).transfer)
-        catalog = lat._cache["transfers"] = TransferCatalog(lat, systems)
-    return catalog
+    return _cached(lat._cache, "transfers", _transfer_catalog, lat)
+
+
+def _transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
+    return TransferCatalog(lat, closed_sets(lat, _tables(lat).transfer))
 
 
 def cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
     """Every cotransfer system, in the same canonical order, kept likewise."""
-    systems = lat._cache.get("cotransfers")
-    if systems is None:
-        systems = closed_sets(lat, _tables(lat).cotransfer)
-        lat._cache["cotransfers"] = systems
-    return systems
+    return _cached(lat._cache, "cotransfers", closed_sets, lat, _tables(lat).cotransfer)
 
 
 # ---------------------------------------------------------------------------

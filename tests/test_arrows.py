@@ -32,7 +32,7 @@ from latmod import (
     t_max,
     weq_components,
 )
-from latmod.arrows import _llp, _rlp, _tables, _two_of_three_closed, _union_bytes
+from latmod.arrows import _llp, _rlp, _tables, _two_of_three_closed
 
 from conftest import lattice_as_sets
 from oracles import (
@@ -190,7 +190,7 @@ def test_extending_a_closed_set_by_one_arrow_is_the_closure_from_zero(corpus):
         for extend in (t.transfer, t.cotransfer, t.wide, t.two_of_three):
             for s in closed_sets(lat, extend):
                 assert extend(0, s.mask) == s.mask
-                for i in range(t.m):
+                for i in range(len(lat.arrows)):
                     grown = extend(s.mask, 1 << i)
                     assert grown == extend(0, s.mask | 1 << i)
 
@@ -372,7 +372,7 @@ def test_pullback_and_pushout_tables_are_closed_under_themselves(corpus):
         t = _tables(lat)
         for rows in (t.pull, t.push):
             for i, row in enumerate(rows):
-                for j in range(t.m):
+                for j in range(len(lat.arrows)):
                     if row >> j & 1:
                         assert rows[j] & ~(row | 1 << i) == 0
 
@@ -415,15 +415,19 @@ def test_byte_tables_match_the_row_unions(corpus, table):
     column = ["kill_llp", "kill_rlp", "roles"].index(table) + 1
     for lat in lattices:
         t = _tables(lat)
+        m = len(lat.arrows)
         _, leq, _, _, _ = lattice_as_sets(lat)
         pairs = [(f.source, f.target) for f in lat.arrows]
         chunks = tuple(entry[column] for entry in t.axiom_bytes)
-        assert len(chunks) == -(-t.m // 8)
-        assert [entry[0] for entry in t.axiom_bytes] == list(range(0, t.m, 8))
-        masks = [1 << i for i in range(t.m)] + [t.full]
-        masks += [rng.getrandbits(t.m) for _ in range(200)]
+        assert len(chunks) == -(-m // 8)
+        assert [entry[0] for entry in t.axiom_bytes] == list(range(0, m, 8))
+        masks = [1 << i for i in range(m)] + [t.full]
+        masks += [rng.getrandbits(m) for _ in range(200)]
         for mask in masks:
-            union = _union_bytes(chunks, mask)
+            # Chunk c's entry at byte c of the mask, for every chunk.
+            union = 0
+            for c, chunk in enumerate(chunks):
+                union |= chunk[mask >> 8 * c & 255]
             if table == "roles":
                 assert union == role_union(t, mask)
             else:
@@ -440,7 +444,7 @@ def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
     for lat in (pentagon, square, grid21, chain(5)):
         t = _tables(lat)
         assert t.role_base.bit_length() == 3 * len(t.triples) - 2
-        for mask in range(1 << t.m):
+        for mask in range(1 << len(lat.arrows)):
             want = two_of_three_pass(t, mask) == mask
             assert _two_of_three_closed(t.role_base, role_union(t, mask)) == want
 
@@ -449,9 +453,9 @@ def _cube():
     return product(product(chain(1), chain(1)), chain(1))
 
 
-# Public entry points that take arrow sets, each given one set with a
-# stray bit (the other argument, if any, empty).  The set fails to build
-# before the call, so none of them needs a range check of its own.
+# Public entry points that take arrow sets, each given one set (the other
+# argument, if any, empty, or full for derive_classes).  A set with a
+# stray bit fails to build, so none of them needs a range check of its own.
 STRAY_BIT_CALLS = {
     "llp_dual": llp_dual,
     "rlp_dual": rlp_dual,
@@ -472,13 +476,13 @@ STRAY_BIT_CALLS = {
     "t_max": t_max,
     "k_max": k_max,
     "weq_components": weq_components,
-    "derive_classes-weq": lambda a: derive_classes(a, ArrowSet.empty(a.lattice)),
-    "derive_classes-af": lambda a: derive_classes(ArrowSet.empty(a.lattice), a),
+    "derive_classes-weq": lambda a: derive_classes(a, ArrowSet.full(a.lattice)),
+    "derive_classes-af": lambda a: derive_classes(ArrowSet.full(a.lattice), a),
     "derive_classes-weq-unchecked": lambda a: derive_classes(
-        a, ArrowSet.empty(a.lattice), check=False
+        a, ArrowSet.full(a.lattice), check=False
     ),
     "derive_classes-af-unchecked": lambda a: derive_classes(
-        ArrowSet.empty(a.lattice), a, check=False
+        ArrowSet.full(a.lattice), a, check=False
     ),
 }
 
@@ -491,13 +495,16 @@ STRAY_BIT_CALLS = {
 def test_a_bit_past_the_last_arrow_is_refused(build, place, call):
     # A bit at m (the arrow count) indexed past the byte tables, and one at
     # the end of the last byte, 8 * ceil(m / 8), was silently dropped; both,
-    # and one far past them, name no arrow.  Each call gets a fresh lattice.
+    # and one far past them, name no arrow, so the set is refused before
+    # any call.  The full set, whose top bit m - 1 is the last the byte
+    # tables index, runs through the call.  Each case gets a fresh lattice.
     lat = build()
     m = len(lat.arrows)
     bit = {"m": m, "byte-end": -(-m // 8) * 8, "m+64": m + 64}[place]
     with pytest.raises(UnknownLabel) as err:
-        call(ArrowSet(lat, 1 << bit | 1))
+        ArrowSet(lat, 1 << bit | 1)
     assert str(err.value) == f"bit {bit} names no arrow: the lattice has {m} arrows"
+    call(ArrowSet.full(lat))
 
 
 def _square():

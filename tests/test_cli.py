@@ -106,6 +106,31 @@ def test_malformed_arrow_set_and_model_json_are_invalid_input(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[" * 200_000, b"[" + b"1" * 5000 + b"]"],
+    ids=["not-utf8", "too-deep", "long-integer"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lattice", "check", "--lattice"),
+        ("transfers", "generate", "--lattice", "builtin:n5", "--arrows"),
+    ],
+    ids=["lattice", "arrows"],
+)
+def test_unreadable_json_files_are_invalid_input(cli, tmp_path, argv, content):
+    # Bytes that are no UTF-8, an array nested past the parser's recursion
+    # limit and an integer past the interpreter's 4300-digit limit are
+    # refused like malformed JSON: one error line.
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = cli(*argv, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path} ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_builtin_is_invalid_input(cli):
     code, _, err = cli("lattice", "check", "--lattice", "builtin:bogus")
     assert code == 3

@@ -232,6 +232,18 @@ def test_bounds_and_interval_match_the_catalog_scan(corpus):
             assert interval == systems_between(transfers, low, high)
 
 
+def test_canonical_order_puts_the_interval_ends_first_and_last(corpus):
+    # The CLI reads t_min(W) and t_max(W) off the ends of af_interval(W),
+    # and the graph takes index 0 as the trivial structure W = AF = {}:
+    # catalog order refines containment.
+    for lat in (*corpus.values(), cube()):
+        for w in enumerate_weak_equivalence_sets(lat):
+            interval = af_interval(w)
+            assert interval[0] == t_min(w)
+            assert interval[-1] == t_max(w)
+        assert enumerate_model_structures(lat)[0].key() == (0, 0)
+
+
 def test_bounds_match_the_catalog_scan_on_every_arrow_set(corpus):
     # The pull (push) row formula holds for any W, not only weq sets;
     # where the union of the systems inside W is not itself one, both
@@ -679,7 +691,7 @@ def test_every_lifting_pair_factors(build, pairs):
     lat = build()
     t = _tables(lat)
     closed = {t.full}
-    for i in range(t.m):
+    for i in range(len(lat.arrows)):
         basic = _rlp(t, 1 << i)
         closed |= {r & basic for r in closed}
     assert len(closed) == len(transfer_catalog(lat)) == pairs
