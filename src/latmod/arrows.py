@@ -75,16 +75,12 @@ class ArrowSet:
 
     @classmethod
     def of(cls, lat: FiniteLattice, arrows: Iterable[Arrow | tuple[int, int]]) -> "ArrowSet":
-        # Arrow is a NamedTuple, so a plain pair finds the same key.  On
-        # a miss, arrow_index raises the UnknownLabel that says why.
-        pos = lat.arrow_position
+        # arrow_index raises the UnknownLabel that says why a pair names
+        # no arrow.
+        index = lat.arrow_index
         mask = 0
         for f in arrows:
-            try:
-                k = pos[tuple(f)]
-            except (KeyError, TypeError):
-                k = lat.arrow_index(f)
-            mask |= 1 << k
+            mask |= 1 << index(f)
         return cls(lat, mask)
 
     @classmethod

@@ -35,26 +35,17 @@ def weq_components(weq: ArrowSet) -> tuple[tuple[int, ...], ...]:
 
 
 def _blocks(weq: ArrowSet) -> list[int]:
-    # Element masks, the block of each element: each element with its
-    # neighbours along weq arrows, then each block grown breadth first
-    # from its least element.
-    n = weq.lattice.n
-    linked = [1 << x for x in range(n)]
+    # Element masks, the block of each element: each element starts in
+    # a block of its own, and each weq arrow whose ends lie in different
+    # blocks merges them, setting every element of the union to it.
+    blocks = [1 << x for x in range(weq.lattice.n)]
     arrows = weq.lattice.arrows
     for k in _bits(weq.mask):
         a, b = arrows[k]
-        linked[a] |= 1 << b
-        linked[b] |= 1 << a
-    blocks = [0] * n
-    for x in range(n):
-        if not blocks[x]:
-            block = frontier = 1 << x
-            while frontier:
-                grown = _union_rows(linked, frontier)
-                frontier = grown & ~block
-                block |= grown
-            for y in _bits(block):
-                blocks[y] = block
+        if not blocks[a] >> b & 1:
+            union = blocks[a] | blocks[b]
+            for y in _bits(union):
+                blocks[y] = union
     return blocks
 
 

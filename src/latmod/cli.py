@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 failed expectation, 2 usage error, 3 invalid
-input, 141 standard output closed by the reader before all was written.
+input or a failed write to standard output, 141 standard output closed
+by the reader before all was written.
 """
 from __future__ import annotations
 
@@ -361,13 +362,17 @@ def main(argv: list[str] | None = None) -> int:
     except LatmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # The reader went away (`latmod ... | head -1`).  Point stdout at
-        # devnull so the interpreter's final flush cannot fail again, and
-        # exit with the status a shell reports for death by SIGPIPE.
+    except OSError as exc:
+        # The reader went away (`latmod ... | head -1`) or the write
+        # failed (`> /dev/full`).  Point stdout at devnull so the
+        # interpreter's final flush cannot fail again.  A closed pipe
+        # exits with the status a shell reports for death by SIGPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return _EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return _EXIT_BROKEN_PIPE
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -154,12 +154,10 @@ def build_lattice(
     labels = list(labels)
     if not labels:
         raise NotALattice("a lattice needs at least one element")
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
+    pos: dict[str, int] = {}
+    for i, lab in enumerate(labels):
+        if pos.setdefault(lab, i) != i:
             raise DuplicateLabel(f"label {lab!r} appears twice")
-        seen.add(lab)
-    pos = {lab: i for i, lab in enumerate(labels)}
 
     n = len(labels)
     succ: list[set[int]] = [set() for _ in range(n)]

@@ -5,7 +5,7 @@ import json
 import operator
 import re
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .arrows import ArrowSet
 from .bousfield import GoldenArrowReport, LocalizationGraph
@@ -154,29 +154,32 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def systems_dot(systems: Sequence[ArrowSet], name: str = "systems") -> str:
-    """Hasse diagram of a family of arrow sets under containment."""
+def _hasse_dot(
+    name: str, labels: Sequence[str], items: Sequence, le: Callable
+) -> str:
+    # Node i is labelled labels[i]; the edges are the covers of le on items.
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i, s in enumerate(systems):
-        lines.append(f"  n{i} [label={_quote(s.signature())}];")
-    for i, j in hasse_covers(systems, operator.le):
-        lines.append(f"  n{i} -> n{j};")
+    lines += [f"  n{i} [label={_quote(lab)}];" for i, lab in enumerate(labels)]
+    lines += [f"  n{i} -> n{j};" for i, j in hasse_covers(items, le)]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def systems_dot(systems: Sequence[ArrowSet], name: str = "systems") -> str:
+    """Hasse diagram of a family of arrow sets under containment."""
+    return _hasse_dot(
+        name, [s.signature() for s in systems], systems, operator.le
+    )
 
 
 def models_dot(structures: Sequence[ModelStructure]) -> str:
     """Hasse diagram of model structures under componentwise containment."""
-    lines = ["digraph model_structures {", "  rankdir=BT;"]
-    for i, m in enumerate(structures):
-        lines.append(f"  n{i} [label={_quote(m.signature())}];")
-    for i, j in hasse_covers(
+    return _hasse_dot(
+        "model_structures",
+        [m.signature() for m in structures],
         [m.key() for m in structures],
         lambda a, b: not (a[0] & ~b[0] or a[1] & ~b[1]),
-    ):
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    )
 
 
 def localization_graph_dot(graph: LocalizationGraph) -> str:

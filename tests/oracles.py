@@ -13,20 +13,6 @@ from latmod import build_lattice, enumerate_weak_equivalence_sets
 Pair = tuple[int, int]
 
 
-def leq_from_covers(n: int, covers: set[Pair]) -> set[Pair]:
-    """Reflexive-transitive closure of the cover relation."""
-    rel = {(i, i) for i in range(n)} | set(covers)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(rel):
-            for z, w in list(rel):
-                if y == z and (x, w) not in rel:
-                    rel.add((x, w))
-                    changed = True
-    return rel
-
-
 def lower_bounds(n: int, leq: set[Pair], x: int, y: int) -> list[int]:
     return [z for z in range(n) if (z, x) in leq and (z, y) in leq]
 

@@ -41,6 +41,7 @@ from latmod.errors import FixpointError
 from conftest import lattice_as_sets
 from oracles import (
     AmbiguousMinimum,
+    naive_components,
     naive_golden_reports,
     naive_local_closure,
     naive_localize_weq,
@@ -111,6 +112,24 @@ def test_weq_components(pentagon, square, square_model):
         frozenset({"(0,0)", "(0,1)", "(1,0)"}),
         frozenset({"(1,1)"}),
     }
+
+
+@pytest.mark.parametrize(
+    "build, step",
+    [(n5, 1), (lambda: product(chain(1), chain(1)), 1), (cube, 127)],
+    ids=["n5", "square", "cube"],
+)
+def test_weq_components_match_the_naive_blocks(build, step):
+    # Any arrow set, not only weak equivalence sets: every mask of n5 and
+    # the square, every 127th of the cube's 2**19.
+    lat = build()
+    for mask in range(0, 1 << len(lat.arrows), step):
+        aset = ArrowSet(lat, mask)
+        blocks = naive_components(lat.n, frozenset(aset))
+        want = tuple(
+            tuple(sorted(b)) for x, b in enumerate(blocks) if min(b) == x
+        )
+        assert weq_components(aset) == want, aset.signature()
 
 
 def test_golden_arrows_on_pentagon(pentagon, pentagon_model):

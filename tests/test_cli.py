@@ -610,6 +610,31 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "--paper-checks"),
+        ("lattice", "info", "--lattice", "builtin:n5"),
+        ("models", "enumerate", "--lattice", "builtin:n5"),
+    ],
+    ids=["reproduce", "info", "enumerate"],
+)
+def test_full_stdout_exits_3_with_one_error_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "latmod.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    assert proc.returncode == 3
+    [line] = proc.stderr.decode().splitlines()
+    assert line.startswith("error: cannot write standard output: [Errno 28]")
+
+
 # sha256 of the exports by format.  The JSON digests were taken from the
 # implementation before the localization layer moved to mask operations,
 # the DOT digests from the implementation before the lattice core moved
