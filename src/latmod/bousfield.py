@@ -13,7 +13,7 @@ the closure runs once per triple.  Golden reports are kept per (W, cover).
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arrows import ArrowSet, _Tables, _tables
 from .errors import FixpointError, NotShort, UnknownLabel
@@ -188,48 +188,65 @@ def _not_kept(model: ModelStructure, f: Arrow, side: str) -> FixpointError:
     )
 
 
-def _localize(model: ModelStructure, f: Arrow, side: str) -> ModelStructure:
-    # Warm, int-keyed dict reads: W' in W's row of the side's localization
+def _localizer(
+    side: str, doc: str
+) -> Callable[[ModelStructure, Arrow], ModelStructure]:
+    # The side's localization, with the side and the class it keeps bound,
+    # so a warm call is this one frame and compares no string.  Models are
+    # read by field index, cheaper than by name on a NamedTuple.  Warm,
+    # int-keyed dict subscripts: W' in W's row of the side's localization
     # map, then W''s model table and AF' in it.  A miss runs the closure,
-    # or derive_classes with the check on, which builds the table or raises
-    # that pair's error.
-    lat, w = model.lattice, model.weq.mask
-    try:
-        k = lat.arrow_position[f]
-    except (KeyError, TypeError):  # not an arrow, or unhashable
-        k = lat.arrow_index(f)
-    if w >> k & 1:
-        return model
-    cache = lat._cache
-    row = cache["localized_weq"][side].get(w)
-    new_weq = row[k] if row else 0
-    if not new_weq:
-        new_weq = _localized_weq(lat, w, k, side)
-    # Right localization keeps F, so AF' = W' & F; left keeps C and AF.
+    # or derive_classes with the check on, which builds the table or
+    # raises that pair's error.
     right = side == "right"
-    kept = model.fib.mask if right else model.cof.mask
-    new_af = new_weq & kept if right else model.acyclic_fib.mask
-    table = cache["model_tables"].get(new_weq)
-    localized = None if table is None else table.get(new_af)
-    if localized is None:
-        localized = derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))
-    if (localized.fib if right else localized.cof).mask != kept:
-        raise _not_kept(model, lat.arrows[k], side)
-    return localized
+    lattice, weq, af, keeps = map(
+        ModelStructure._fields.index,
+        ("lattice", "weq", "acyclic_fib", "fib" if right else "cof"),
+    )
+
+    def localize(model: ModelStructure, f: Arrow) -> ModelStructure:
+        lat, w = model[lattice], model[weq].mask
+        try:
+            k = lat.arrow_position[f]
+        except (KeyError, TypeError):  # not an arrow, or unhashable
+            k = lat.arrow_index(f)
+        if w >> k & 1:
+            return model
+        cache = lat._cache
+        try:
+            new_weq = cache["localized_weq"][side][w][k]
+        except KeyError:  # no row for W yet
+            new_weq = 0
+        if not new_weq:
+            new_weq = _localized_weq(lat, w, k, side)
+        # Right localization keeps F, so AF' = W' & F; left keeps C and AF.
+        kept = model[keeps].mask
+        new_af = new_weq & kept if right else model[af].mask
+        try:
+            localized = cache["model_tables"][new_weq][new_af]
+        except KeyError:  # no table for W', or no AF' in it
+            localized = derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))
+        if localized[keeps].mask != kept:
+            raise _not_kept(model, lat.arrows[k], side)
+        return localized
+
+    localize.__name__ = localize.__qualname__ = f"{side}_localize"
+    localize.__doc__ = doc
+    return localize
 
 
-def right_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
+right_localize = _localizer(
+    "right",
     """Right Bousfield localization at f; fibrations are preserved.
 
     The localization keeps F, so its acyclic fibrations are W' & F for
     the localized weak equivalences W'.
-    """
-    return _localize(model, f, "right")
-
-
-def left_localize(model: ModelStructure, f: Arrow) -> ModelStructure:
-    """Left Bousfield localization at f; cofibrations and AF are preserved."""
-    return _localize(model, f, "left")
+    """,
+)
+left_localize = _localizer(
+    "left",
+    """Left Bousfield localization at f; cofibrations and AF are preserved.""",
+)
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,20 @@ def closed_sets(
     the closure kernels of arrows._Tables are (t.transfer, t.wide, ...).
     The search decides one arrow at a time, in canonical order.  Including
     an arrow extends the closed set so far by that arrow alone; a branch
-    dies as soon as the result meets an excluded arrow.  Every closed set
-    is produced exactly once, because the first arrow on which two closed
-    sets differ was decided by distinct branches.  Every arrow before the
-    current one is already decided and the exclusion branch is walked
-    first, so the output comes out in canonical order.  It starts from
-    extend(0, lo), with every arrow outside hi excluded.
+    dies as soon as the result meets an excluded arrow.  Before extending,
+    the include branch of arrow i is skipped when the closure of i alone,
+    extend(0, 1 << i), already meets an excluded arrow: every closed set
+    holding i contains it.  Those single closures are computed once per
+    lattice and kernel object.  Every closed set is produced exactly once,
+    because the first arrow on which two closed sets differ was decided
+    by distinct branches.  Every arrow before the current one is already
+    decided and the exclusion branch is walked first, so the output comes
+    out in canonical order.  It starts from extend(0, lo), with every
+    arrow outside hi excluded.
     """
     m = len(lat.arrows)
     out: list[ArrowSet] = []
+    singles = _cached(lat._cache, ("singles", extend), _singles, extend, m)
 
     def walk(i: int, included: int, excluded: int) -> None:
         if included & excluded:
@@ -91,10 +96,16 @@ def closed_sets(
             out.append(ArrowSet(lat, included))
             return
         walk(i + 1, included, excluded | 1 << i)
-        walk(i + 1, extend(included, 1 << i), excluded)
+        if not singles[i] & excluded:
+            walk(i + 1, extend(included, 1 << i), excluded)
 
     walk(0, extend(0, lo), ~hi)
     return tuple(out)
+
+
+def _singles(extend: Callable[[int, int], int], m: int) -> tuple[int, ...]:
+    # The closure of each arrow alone, by arrow index.
+    return tuple(extend(0, 1 << i) for i in range(m))
 
 
 def transfer_catalog(lat: FiniteLattice) -> TransferCatalog:

@@ -1,8 +1,11 @@
 """Localization: golden arrows, the fixpoint, and the graph over all models."""
+import inspect
+import pickle
 import re
 
 import pytest
 
+import latmod
 from latmod import (
     ArrowSet,
     ModelStructure,
@@ -130,6 +133,23 @@ def test_weq_components_match_the_naive_blocks(build, step):
             tuple(sorted(b)) for x, b in enumerate(blocks) if min(b) == x
         )
         assert weq_components(aset) == want, aset.signature()
+
+
+@pytest.mark.parametrize("name", ["right_localize", "left_localize"])
+def test_each_localization_is_a_plain_public_function(name):
+    # Each side's localization is built by one factory, and still looks
+    # like the function it replaces: its name, a docstring, (model, f), and
+    # pickled by reference to its module.
+    fn = getattr(bousfield, name)
+    assert (fn.__name__, fn.__qualname__, fn.__module__) == (
+        name,
+        name,
+        "latmod.bousfield",
+    )
+    assert fn.__doc__ and fn.__doc__.strip()
+    assert list(inspect.signature(fn).parameters) == ["model", "f"]
+    assert pickle.loads(pickle.dumps(fn)) is fn
+    assert getattr(latmod, name) is fn
 
 
 def test_golden_arrows_on_pentagon(pentagon, pentagon_model):

@@ -8,6 +8,7 @@ from latmod import (
     ArrowSet,
     NotATransferSystem,
     chain,
+    close_wide_decomposable,
     closed_sets,
     cotransfer_systems,
     is_cotransfer_system,
@@ -15,6 +16,7 @@ from latmod import (
     is_transfer_system,
     llp_dual,
     n5,
+    product,
     rlp_dual,
     singly_generated_transfers,
     tr_as_lattice,
@@ -92,6 +94,75 @@ def test_bounded_walk_is_the_filtered_list(pentagon, grid21):
     extend = _tables(pentagon).transfer
     assert closed_sets(pentagon, extend, gap, gap) == ()
     assert empty_by_closure > 0
+
+
+def kernels(lat):
+    # Every closure kind's kernel, and a lambda, whose singles are cached
+    # under the lambda object itself.
+    t = _tables(lat)
+    kinds = ("compose", "transfer", "cotransfer", "wide", "two_of_three")
+    named = {kind: getattr(t, kind) for kind in kinds}
+    named["lambda"] = lambda mask, new: close_wide_decomposable(
+        ArrowSet(lat, mask | new)
+    ).mask
+    return named
+
+
+def test_pruned_walk_is_the_brute_force_filter(corpus):
+    # Every closed set S with lo <= S <= hi, that is extend(0, S) == S, in
+    # canonical order, for each kernel on each corpus lattice of at most 12
+    # arrows: with the default bounds and a few intervals.
+    rng = random.Random(26)
+    checked = 0
+    for lat in corpus.values():
+        m = len(lat.arrows)
+        if m > 12:
+            continue
+        full = (1 << m) - 1
+        for name, extend in kernels(lat).items():
+            closed = sorted(
+                (ArrowSet(lat, s) for s in range(1 << m) if extend(0, s) == s),
+                key=lex_key,
+            )
+            bounds = [(0, -1), (full, full), (0, 0)]
+            for _ in range(3):
+                # around a closed set, so that the interval is nonempty
+                middle = rng.choice(closed).mask
+                lo = middle & rng.randrange(1 << m)
+                bounds.append((lo, middle | rng.randrange(1 << m)))
+            for lo, hi in bounds:
+                want = tuple(
+                    s for s in closed if not lo & ~s.mask and not s.mask & ~hi
+                )
+                assert closed_sets(lat, extend, lo, hi) == want, (name, lo, hi)
+                checked += 1
+    assert checked == 6 * 6 * 6
+
+
+def counted_walk(lat, extend):
+    # Kernel calls of one walk, through a fresh wrapper, so its singles are
+    # computed (and counted) too.
+    calls = 0
+
+    def counting(mask, new):
+        nonlocal calls
+        calls += 1
+        return extend(mask, new)
+
+    return len(closed_sets(lat, counting)), calls
+
+
+def test_pruned_walk_calls_the_kernel_a_pinned_number_of_times(grid21):
+    # With the m singles counted.  Unpruned, the transfer walks took 1,903
+    # calls on the cube and 225 on grid2x1.  The cotransfer walk rises from
+    # 737: a single cotransfer closure adds pushouts, whose sources lie
+    # above the arrow's, so it holds only later arrows in canonical order.
+    # With the default bounds none of those is excluded yet, so it prunes
+    # nothing and the singles are 19 extra calls.
+    cube = product(product(chain(1), chain(1)), chain(1))
+    assert counted_walk(cube, _tables(cube).transfer) == (450, 683)
+    assert counted_walk(cube, _tables(cube).cotransfer) == (450, 756)
+    assert counted_walk(grid21, _tables(grid21).transfer) == (68, 113)
 
 
 def test_catalog_is_sorted_and_containment_consistent(pentagon):
