@@ -28,7 +28,6 @@ from .arrows import (
     _llp,
     _rlp,
     _tables,
-    _two_of_three_closed,
 )
 from .errors import (
     MaximalityViolation,
@@ -292,20 +291,22 @@ def verify_model_axioms(model: ModelStructure) -> bool:
             ArrowSet.empty(lat)._compatible(aset)  # raises for the stray one
     t = lat._cache.get("tables") or _tables(lat)
     weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
-    full = t.full
-    # One pass over the masks' bytes: the unions of kill rows that give
-    # llp(AF), llp(F), rlp(C) and rlp(AC), and W's union of role rows.
-    kill_af = kill_fib = kill_cof = kill_ac = roles = 0
-    for s, llp, rlp, role in t.axiom_bytes:
-        kill_af |= llp[af >> s & 255]
-        kill_fib |= llp[fib >> s & 255]
-        kill_cof |= rlp[cof >> s & 255]
-        kill_ac |= rlp[ac >> s & 255]
-        roles |= role[weq >> s & 255]
-    if full & ~kill_af != cof or full & ~kill_cof != af:
-        return False
-    if full & ~kill_fib != ac or full & ~kill_ac != fib:
+    # One pass over the masks' chunks: llp(AF), llp(F), rlp(C), rlp(AC)
+    # and W's union of role rows.
+    lift_af = lift_fib = lift_cof = lift_ac = t.full
+    roles = 0
+    low = t.chunk_bits
+    for s, llp, rlp, role in t.lift_chunks:
+        lift_af &= llp[af >> s & low]
+        lift_fib &= llp[fib >> s & low]
+        lift_cof &= rlp[cof >> s & low]
+        lift_ac &= rlp[ac >> s & low]
+        roles |= role[weq >> s & low]
+    if lift_af != cof or lift_cof != af or lift_fib != ac or lift_ac != fib:
         return False
     if af & ~weq or ac != cof & weq or af != fib & weq:
         return False
-    return _two_of_three_closed(t.role_base, roles)
+    # Two-out-of-three: no triangle holds exactly two of its arrows.
+    base = t.role_base
+    first, second, composite = roles & base, roles >> 1 & base, roles >> 2 & base
+    return not (first | second | composite) & ~(first ^ second ^ composite)

@@ -9,6 +9,7 @@ from .arrows import (
     close_two_out_of_three,
     generate_transfer,
     is_transfer_system,
+    _llp,
     _tables,
 )
 from .errors import NotALattice, NotATransferSystem
@@ -118,8 +119,25 @@ def _transfer_catalog(lat: FiniteLattice) -> TransferCatalog:
 
 
 def cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
-    """Every cotransfer system, in the same canonical order, kept likewise."""
-    return _cached(lat._cache, "cotransfers", closed_sets, lat, _tables(lat).cotransfer)
+    """Every cotransfer system, in the same canonical order, kept likewise.
+
+    They are the llp images of the transfer systems, so this builds the
+    transfer catalog too.  In a finite lattice the transfer systems are
+    the R with R = rlp(llp(R)) and the cotransfer systems the L with
+    L = llp(rlp(L)), and llp maps the first onto the second, with rlp
+    its inverse (Franchere-Ormsby-Osorno-Qin-Waugh, "Self-duality of the
+    lattice of transfer systems via weak factorization systems").
+    """
+    return _cached(lat._cache, "cotransfers", _cotransfer_systems, lat)
+
+
+def _cotransfer_systems(lat: FiniteLattice) -> tuple[ArrowSet, ...]:
+    t = _tables(lat)
+    images = [_llp(t, system.mask) for system in transfer_catalog(lat)]
+    # Canonical order reads bit 0 first: the binary digits reversed.
+    digits = f"0{len(lat.arrows)}b"
+    images.sort(key=lambda mask: format(mask, digits)[::-1])
+    return tuple(ArrowSet(lat, mask) for mask in images)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from latmod import build_lattice, enumerate_weak_equivalence_sets
+from latmod import build_lattice, closed_sets, enumerate_weak_equivalence_sets
+from latmod.arrows import _tables
 
 Pair = tuple[int, int]
 
@@ -365,6 +366,28 @@ def two_of_three_pass(t, mask: int) -> int:
         if has != triangle and has & (has - 1):
             mask |= triangle
     return mask
+
+
+def two_of_three_closed(base: int, roles: int) -> bool:
+    """Whether a mask is closed under two-out-of-three, from its role union.
+
+    roles is the union of the mask's role rows: bit 3t of roles, roles >> 1
+    and roles >> 2 says whether the mask holds the first leg, the second
+    leg and the composite of triangle t; base = role_base holds each 3t.
+    No triangle may hold exactly two: some, with even parity.  This is
+    the parity test verify_model_axioms makes inline.
+    """
+    first, second, composite = roles & base, roles >> 1 & base, roles >> 2 & base
+    return not (first | second | composite) & ~(first ^ second ^ composite)
+
+
+def cotransfer_walk(lat):
+    """Every cotransfer system, from their own closed-set walk.
+
+    The library lists them as the llp image of the transfer catalog; this
+    walk shares nothing with the lifting tables or that bijection.
+    """
+    return closed_sets(lat, _tables(lat).cotransfer)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from latmod import (
     t_max,
     weq_components,
 )
-from latmod.arrows import _llp, _rlp, _tables, _two_of_three_closed
+from latmod.arrows import _llp, _rlp, _tables
 
 from conftest import lattice_as_sets
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     naive_rlp,
     pullback_close,
     pushout_close,
+    two_of_three_closed,
     two_of_three_pass,
     two_out_of_three_close,
     wide_decomposable_close,
@@ -399,18 +400,21 @@ def naive_dual(naive, pairs, leq, mask):
 
 @pytest.mark.parametrize("table", ["kill_llp", "kill_rlp", "roles"])
 def test_byte_tables_match_the_row_unions(corpus, table):
-    # Each byte table of axiom_bytes (kill_llp, kill_rlp, roles in that
-    # order) against an oracle: llp and rlp through naive_llp and
-    # naive_rlp, the roles from the triples.  grid2x2 has 27 arrows, so
-    # its last chunk holds three rows; the one-element lattice has none
-    # and no chunks.
+    # Each column of lift_chunks against an oracle: the llp and rlp
+    # columns (built from the kill_llp and kill_rlp rows) as intersections
+    # through naive_llp and naive_rlp, the roles as a union from the
+    # triples.  The chunks are balanced, at most 12 bits wide: one on
+    # grid2x1 (12 arrows), two on chain5 (15) and the cube (19), three on
+    # grid2x2 (27), none on the one-element lattice.
     lattices = [
         *corpus.values(),
+        chain(5),
         product(product(chain(1), chain(1)), chain(1)),
         product(chain(2), chain(2)),
         chain(0),
     ]
-    assert [len(lat.arrows) for lat in lattices[-2:]] == [27, 0]
+    named = [corpus["grid2x1"], *lattices[-4:]]
+    assert [len(lat.arrows) for lat in named] == [12, 15, 19, 27, 0]
     rng = random.Random(2718)
     column = ["kill_llp", "kill_rlp", "roles"].index(table) + 1
     for lat in lattices:
@@ -418,24 +422,37 @@ def test_byte_tables_match_the_row_unions(corpus, table):
         m = len(lat.arrows)
         _, leq, _, _, _ = lattice_as_sets(lat)
         pairs = [(f.source, f.target) for f in lat.arrows]
-        chunks = tuple(entry[column] for entry in t.axiom_bytes)
-        assert len(chunks) == -(-m // 8)
-        assert [entry[0] for entry in t.axiom_bytes] == list(range(0, m, 8))
+        w = t.chunk_bits.bit_length()
+        assert w <= 12
+        # As few chunks as 12 bits allow, each as wide as the first.
+        assert len(t.lift_chunks) == -(-m // 12) == (-(-m // w) if m else 0)
+        assert [entry[0] for entry in t.lift_chunks] == list(range(0, m, w or 1))
+        chunks = tuple(entry[column] for entry in t.lift_chunks)
+        assert [len(chunk) for chunk in chunks] == [
+            1 << min(w, m - s) for s in range(0, m, w or 1)
+        ]
         masks = [1 << i for i in range(m)] + [t.full]
         masks += [rng.getrandbits(m) for _ in range(200)]
         for mask in masks:
-            # Chunk c's entry at byte c of the mask, for every chunk.
-            union = 0
-            for c, chunk in enumerate(chunks):
-                union |= chunk[mask >> 8 * c & 255]
+            # Chunk c's entry at the bits of the mask it covers.
+            parts = [
+                chunk[mask >> s & t.chunk_bits]
+                for (s, *_), chunk in zip(t.lift_chunks, chunks)
+            ]
             if table == "roles":
+                union = 0
+                for part in parts:
+                    union |= part
                 assert union == role_union(t, mask)
             else:
                 dual, naive = (
                     (_llp, naive_llp) if table == "kill_llp" else (_rlp, naive_rlp)
                 )
+                lift = t.full
+                for part in parts:
+                    lift &= part
                 want = naive_dual(naive, pairs, leq, mask)
-                assert t.full & ~union == dual(t, mask) == want
+                assert lift == dual(t, mask) == want
 
 
 def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
@@ -446,7 +463,7 @@ def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
         assert t.role_base.bit_length() == 3 * len(t.triples) - 2
         for mask in range(1 << len(lat.arrows)):
             want = two_of_three_pass(t, mask) == mask
-            assert _two_of_three_closed(t.role_base, role_union(t, mask)) == want
+            assert two_of_three_closed(t.role_base, role_union(t, mask)) == want
 
 
 def _square():

@@ -22,7 +22,7 @@ from latmod import (
     transfer_catalog,
 )
 
-from oracles import opposite
+from oracles import cotransfer_walk, opposite
 
 
 def n5_with_new_bottom():
@@ -55,8 +55,9 @@ def test_opposite_lattice_agrees_under_arrow_reversal(name, corpus):
     opp = opposite(lat)
 
     assert {reversed_mask(s, lat) for s in transfer_catalog(opp)} == {
-        s.mask for s in cotransfer_systems(lat)
+        s.mask for s in cotransfer_walk(lat)
     }
+    assert cotransfer_systems(lat) == cotransfer_walk(lat)
     assert {reversed_mask(w, lat) for w in enumerate_weak_equivalence_sets(opp)} == {
         w.mask for w in enumerate_weak_equivalence_sets(lat)
     }

@@ -738,7 +738,9 @@ def test_verify_refuses_classes_from_another_lattice():
 
 
 def test_axioms_hold_for_every_enumerated_model(pentagon, square):
-    for lat in (pentagon, square):
+    # grid2x2 has 27 arrows, so verify reads three lifting-table chunks.
+    grid22 = product(chain(2), chain(2))
+    for lat in (pentagon, square, grid22):
         for m in enumerate_model_structures(lat):
             assert verify_model_axioms(m)
 
@@ -760,11 +762,13 @@ def test_axioms_reject_bad_pairs(pentagon):
     assert not verify_model_axioms(derive_classes(w3, w3, check=False))
 
 
-def test_axioms_reject_every_one_arrow_change_of_a_class(pentagon, square):
+def test_axioms_reject_every_one_arrow_change_of_a_class(pentagon, square, grid21):
     # Flipping one arrow of any one of the five classes of a model breaks
     # some axiom, read from the masks the model holds, not re-derived.
+    # n5 and the square have one 8-bit lifting-table chunk, grid2x1 one of
+    # 12 bits and the cube two of 10 and 9.
     classes = ("weq", "acyclic_fib", "cof", "acyclic_cof", "fib")
-    for lat in (pentagon, square):
+    for lat in (pentagon, square, grid21, cube()):
         for model in enumerate_model_structures(lat):
             for name in classes:
                 mask = getattr(model, name).mask

@@ -27,7 +27,7 @@ from latmod import (
 from latmod.arrows import _tables
 
 from conftest import lattice_as_sets
-from oracles import all_transfer_systems_naive, lex_key
+from oracles import all_transfer_systems_naive, cotransfer_walk, lex_key
 
 
 def catalan(n):
@@ -64,6 +64,23 @@ def test_cotransfer_systems_match_exhaustive_filter(corpus):
         expected = [s for s in every if is_cotransfer_system(s)]
         expected.sort(key=lex_key)
         assert cotransfer_systems(lat) == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chain(5),
+        lambda: product(product(chain(1), chain(1)), chain(1)),
+        lambda: product(chain(2), chain(2)),
+        lambda: product(n5(), chain(1)),
+    ],
+    ids=["chain5", "cube", "grid2x2", "n5xc1"],
+)
+def test_cotransfer_systems_are_the_walk_in_order(build):
+    # The llp image of the transfer catalog, sorted, is the cotransfer
+    # walk's list on lattices with two and three lifting-table chunks.
+    lat = build()
+    assert cotransfer_systems(lat) == cotransfer_walk(lat)
 
 
 def test_bounded_walk_is_the_filtered_list(pentagon, grid21):
@@ -219,8 +236,10 @@ def test_catalog_refuses_another_lattices_sets():
 
 
 def test_duality_bijection(pentagon):
+    # Against the cotransfer walk, not cotransfer_systems, which is this
+    # bijection's image.
     transfers = transfer_catalog(pentagon)
-    cotransfers = cotransfer_systems(pentagon)
+    cotransfers = cotransfer_walk(pentagon)
     assert len(transfers) == len(cotransfers) == 26
     comasks = {s.mask for s in cotransfers}
     seen = set()
