@@ -212,10 +212,10 @@ class _Tables:
         self.full = (1 << m) - 1
 
         pull = self.pull = tuple(
-            _mask_of(pos, pullbacks_of(lat, f)) for f in arrows
+            ArrowSet.of(lat, pullbacks_of(lat, f)).mask for f in arrows
         )
         push = self.push = tuple(
-            _mask_of(pos, pushouts_of(lat, f)) for f in arrows
+            ArrowSet.of(lat, pushouts_of(lat, f)).mask for f in arrows
         )
 
         # (i, j, k) with arrow_k = arrow_j o arrow_i, all non-identity.
@@ -270,14 +270,14 @@ class _Tables:
         kill_rlp = [0] * m
         for j, (x, y) in enumerate(arrows):
             for i, (a, b) in enumerate(arrows):
-                # f: a -> b lifts on the left of s: x -> y unless a square
-                # exists (a <= x, b <= y) with no diagonal b <= x.
+                # f: a -> b lifts on the left of s: x -> y, and so s on the
+                # right of f, unless a square exists (a <= x, b <= y) with
+                # no diagonal b <= x.
                 if lat.le(a, x) and lat.le(b, y) and not lat.le(b, x):
                     kill_llp[j] |= 1 << i
-                if lat.le(x, a) and lat.le(y, b) and not lat.le(y, a):
-                    kill_rlp[j] |= 1 << i
+                    kill_rlp[i] |= 1 << j
 
-        self.cover_mask = _mask_of(pos, lat.covers)
+        self.cover_mask = ArrowSet.of(lat, lat.covers).mask
         # Element masks: up[x] holds the y with x < y, down[y] the x < y.
         elems = range(lat.n)
         self.up = tuple(row & ~(1 << x) for x, row in enumerate(lat._up))
@@ -312,13 +312,6 @@ def _chunk_table(start: int, rows: list[int], union: bool = False) -> tuple[int,
         else:
             table += [x & row for x in table]
     return tuple(table)
-
-
-def _mask_of(pos: dict[Arrow, int], arrows: Iterable[Arrow]) -> int:
-    mask = 0
-    for f in arrows:
-        mask |= 1 << pos[f]
-    return mask
 
 
 def _tables(lat: FiniteLattice) -> _Tables:

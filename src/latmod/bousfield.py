@@ -167,8 +167,12 @@ def _weq_fixpoint(t: _Tables, weq: int, k: int, side: str) -> int:
     AC and AF lie in W and the rest are composites of members of
     W | Y | P(Y), and W = AF o AC lies in M o AC while Y | P(Y) lies in
     M.  After round r, Y = W_r - W, so the rounds are
-    W_{r+1} = 2oo3(W_r | P(W_r - W)) from W_0 = W | {f}.  V need not be
-    the smallest weak equivalence set containing W and f.
+    W_{r+1} = 2oo3(W_r | P(W_r - W)) from W_0 = W | {f}.  V is not always
+    the least localization: the least W of a model structure with the
+    kept class (C left, F right) that holds W and f.  On grid2x1, left at
+    (0,0)->(1,0) from W = AF = {(1,0)->(2,0)}, V pushes out the new
+    (0,0)->(2,0), no cofibration, and so gains (0,1)->(2,1) and
+    (1,1)->(2,1), which the least localization lacks.
 
     W is already closed under two-out-of-three, so this is one run of
     the side's localization kernel t.localize[side] from W with arrow k
@@ -239,13 +243,16 @@ right_localize = _localizer(
     "right",
     """Right Bousfield localization at f; fibrations are preserved.
 
-    The localization keeps F, so its acyclic fibrations are W' & F for
-    the localized weak equivalences W'.
+    It keeps F, so AF' = W' & F for the localized weak equivalences W',
+    which are not always the least localization's (see _weq_fixpoint).
     """,
 )
 left_localize = _localizer(
     "left",
-    """Left Bousfield localization at f; cofibrations and AF are preserved.""",
+    """Left Bousfield localization at f; cofibrations and AF are preserved.
+
+    Its W' is not always the least localization's (see _weq_fixpoint).
+    """,
 )
 
 
@@ -294,7 +301,8 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     pairs derive_classes admits, so a key it lacks is derived with the
     check on, which raises the error that derivation gives.  Edges come
     out ordered by source, side, arrow index, as the models are ordered
-    by W and each W's moves by side and arrow.
+    by W and each W's moves by side and arrow.  An edge's target is not
+    always the least localization (see _weq_fixpoint).
     """
     structures = enumerate_model_structures(lat)
     # Per W mask, each AF mask's index in the enumeration, in order.
@@ -303,13 +311,10 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
         index.setdefault(model.weq.mask, {})[model.acyclic_fib.mask] = i
     # The class each side keeps: the fibrations on the right, the
     # cofibrations on the left, as masks by structure index.
-    keeps = {
-        "left": [model.cof.mask for model in structures],
-        "right": [model.fib.mask for model in structures],
-    }
-    fibs = keeps["right"]
+    fibs = [model.fib.mask for model in structures]
+    keeps = {"left": [model.cof.mask for model in structures], "right": fibs}
     arrows = lat.arrows
-    covers = sorted(map(lat.arrow_position.__getitem__, lat.covers))
+    covers = list(_bits(_tables(lat).cover_mask))
     edges: list[LocalizationEdge] = []
     for weq, members in index.items():
         moves = []
@@ -333,32 +338,33 @@ def localization_graph(lat: FiniteLattice) -> LocalizationGraph:
     return LocalizationGraph(structures, tuple(edges), 0)
 
 
-def _search(graph: LocalizationGraph, start: int, directed: bool) -> frozenset[int]:
-    # Every index reached from start, over adjacency lists built from the
-    # edges on each call: targets per source, and sources per target as
-    # well when directions are ignored.
-    adjacency: list[list[int]] = [[] for _ in graph.structures]
+def reachable_from_trivial(graph: LocalizationGraph) -> frozenset[int]:
+    """Indices of structures reachable from the trivial one by localizations."""
+    targets: list[list[int]] = [[] for _ in graph.structures]
     for e in graph.edges:
-        adjacency[e.src].append(e.dst)
-        if not directed:
-            adjacency[e.dst].append(e.src)
-    seen = {start}
-    todo = [start]
+        targets[e.src].append(e.dst)
+    seen = {graph.trivial_index}
+    todo = [*seen]
     while todo:
-        for nxt in adjacency[todo.pop()]:
+        for nxt in targets[todo.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
     return frozenset(seen)
 
 
-def reachable_from_trivial(graph: LocalizationGraph) -> frozenset[int]:
-    """Indices of structures reachable from the trivial one by localizations."""
-    return _search(graph, graph.trivial_index, directed=True)
-
-
 def is_weakly_connected(graph: LocalizationGraph) -> bool:
     """Whether the graph is connected when edge directions are ignored."""
-    if not graph.structures:
-        return True
-    return len(_search(graph, 0, directed=False)) == len(graph)
+    # Union-find with path halving: an edge whose ends have different
+    # roots joins two parts.
+    parent = list(range(len(graph.structures)))
+    parts = len(parent)
+    for a, b, _, _ in graph.edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            parts -= 1
+    return parts <= 1

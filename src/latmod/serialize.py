@@ -184,12 +184,12 @@ def models_dot(structures: Sequence[ModelStructure]) -> str:
 
 def localization_graph_dot(graph: LocalizationGraph) -> str:
     """Localization graph; left edges dashed, right edges solid."""
+    lat = graph.structures[0].lattice if graph.structures else None
     lines = ["digraph localizations {", "  rankdir=BT;"]
     for i, m in enumerate(graph.structures):
         shape = ' shape=box' if i == graph.trivial_index else ""
         lines.append(f"  n{i} [label={_quote(m.signature())}{shape}];")
     for e in graph.edges:
-        lat = graph.structures[e.src].lattice
         label = f"{e.side[0].upper()} {lat.arrow_name(e.at)}"
         style = ' style=dashed' if e.side == "left" else ""
         lines.append(

@@ -44,3 +44,21 @@ def lattice_as_sets(lat):
     meets = [[lat.meet(i, j) for j in range(n)] for i in range(n)]
     joins = [[lat.join(i, j) for j in range(n)] for i in range(n)]
     return n, leq, covers, meets, joins
+
+
+def chain_union(*lengths):
+    """0 + (C_a1 + ... + C_ar) + 1: chains of the given lengths side by side.
+
+    Chain i holds elements c{i}.1 .. c{i}.a, above a shared bottom 0 and
+    below a shared top 1; (1, 1) is the square, (2, 1) N5 and (1, 1, 1) M3.
+    """
+    labels = ["0"]
+    covers = []
+    for i, a in enumerate(lengths):
+        below = "0"
+        for j in range(1, a + 1):
+            labels.append(f"c{i}.{j}")
+            covers.append((below, labels[-1]))
+            below = labels[-1]
+        covers.append((below, "1"))
+    return build_lattice([*labels, "1"], covers)

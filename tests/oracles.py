@@ -1,14 +1,28 @@
 """Naive reference implementations used to cross-check the library.
 
 Everything here trades speed for obviousness: plain dict/set relation
-algebra, no bitmasks, no caching.  Oracles operate on (labels, leq)
-presentations or on frozensets of (source, target) index pairs.
+algebra, no bitmasks, and no caching but the one grouping that
+least_localization keeps for the last lattice it saw.  Oracles operate
+on (labels, leq) presentations or on frozensets of (source, target)
+index pairs.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
-from latmod import build_lattice, closed_sets, enumerate_weak_equivalence_sets
+from latmod import (
+    ArrowSet,
+    ModelStructure,
+    build_lattice,
+    closed_sets,
+    compose_sets,
+    enumerate_model_structures,
+    enumerate_weak_equivalence_sets,
+    is_composition_closed,
+    llp_dual,
+    transfer_catalog,
+)
 from latmod.arrows import _tables
 
 Pair = tuple[int, int]
@@ -420,6 +434,42 @@ def smallest_weq_superset(lat, base):
     return minimal[0]
 
 
+def least_localization(model, f, side: str):
+    """The least enumerated structure localizing model at f on one side.
+
+    The candidates keep the model's cofibrations (left side) or its
+    fibrations (right side) and have weak equivalences containing W and
+    the arrow f, which lies outside W.  A kept class fixes the structure
+    given W, so the candidates are ordered by W.  Returns the one least
+    candidate, or "none" or "several" when there is no single least one.
+    """
+    lat = model.lattice
+    kept = model.cof if side == "left" else model.fib
+    base = model.weq | ArrowSet.of(lat, [f])
+    candidates = [
+        other
+        for other in _structures_by_kept_class(lat)[side].get(kept, ())
+        if base <= other.weq
+    ]
+    minimal = [
+        c for c in candidates if not any(o.weq < c.weq for o in candidates)
+    ]
+    if not minimal:
+        return "none"
+    return minimal[0] if len(minimal) == 1 else "several"
+
+
+@lru_cache(maxsize=1)
+def _structures_by_kept_class(lat):
+    # Per side, the enumerated structures grouped by the class that side
+    # keeps, so that a sweep over one lattice scans each group alone.
+    groups = {"left": {}, "right": {}}
+    for model in enumerate_model_structures(lat):
+        groups["left"].setdefault(model.cof, []).append(model)
+        groups["right"].setdefault(model.fib, []).append(model)
+    return groups
+
+
 def naive_components(n: int, arrows: frozenset[Pair]) -> list[frozenset[int]]:
     """Blocks of elements joined by the arrows, ignoring direction."""
     block = {x: frozenset({x}) for x in range(n)}
@@ -554,3 +604,38 @@ def opposite(lat):
     """The opposite lattice: the same labels with every cover reversed."""
     labels = lat.labels
     return build_lattice(labels, [(labels[t], labels[s]) for s, t in lat.covers])
+
+
+# ---------------------------------------------------------------------------
+# premodel structures
+
+
+def premodel_tiers(lat):
+    """The premodel structures of lat, and the two tiers inside them.
+
+    Every nested pair AF <= F of transfer systems is a premodel structure
+    with C = llp(AF), AC = llp(F) and W = AF o AC.  Returns three lists of
+    ModelStructure records, in catalog order of (F, AF):
+      - every premodel structure;
+      - those whose W is closed under composition;
+      - those whose W is also closed under two-out-of-three, found by
+        two_of_three_pass: the model structures.
+    Nothing here reads the weak equivalence criterion, t_min, t_max or
+    the intervals.
+    """
+    t = _tables(lat)
+    systems = list(transfer_catalog(lat))
+    lifts = [llp_dual(s) for s in systems]
+    premodels, closed, models = [], [], []
+    for fib, ac in zip(systems, lifts):
+        for af, cof in zip(systems, lifts):
+            if not af <= fib:
+                continue
+            weq = compose_sets(af, ac)
+            model = ModelStructure(lat, weq, af, cof, ac, fib)
+            premodels.append(model)
+            if is_composition_closed(weq):
+                closed.append(model)
+                if two_of_three_pass(t, weq.mask) == weq.mask:
+                    models.append(model)
+    return premodels, closed, models

@@ -41,9 +41,10 @@ from latmod import bousfield
 from latmod.bousfield import LocalizationEdge, LocalizationGraph
 from latmod.errors import FixpointError
 
-from conftest import lattice_as_sets
+from conftest import chain_union, lattice_as_sets
 from oracles import (
     AmbiguousMinimum,
+    least_localization,
     naive_components,
     naive_golden_reports,
     naive_local_closure,
@@ -790,6 +791,111 @@ def test_square_localizations_from_trivial_hit_smallest_supersets(square):
         assert right_localize(trivial, f).weq == want_right
 
 
+def against_least_localizations(lat):
+    """Count the localizations that differ from the least localization.
+
+    Returns (localizations, differing, cover localizations, differing
+    cover localizations) over every model, arrow outside W and side.
+    Each case must have exactly one least structure, and where the
+    library differs its W' overshoots the least W.
+    """
+    counts = [0, 0, 0, 0]
+    for model in enumerate_model_structures(lat):
+        for f in lat.arrows:
+            if f in model.weq:
+                continue
+            cover = f in lat.covers
+            for side, localize in (("left", left_localize), ("right", right_localize)):
+                least = least_localization(model, f, side)
+                assert not isinstance(least, str), (model, f, side, least)
+                got = localize(model, f)
+                counts[0] += 1
+                counts[2] += cover
+                if got != least:
+                    assert least.weq < got.weq
+                    counts[1] += 1
+                    counts[3] += cover
+    return tuple(counts)
+
+
+# Model counts of lattices whose localizations are all least: N5, chains,
+# and the chain-union shapes 0 + (C_a1 + ... + C_ar) + 1.
+LEAST_EVERYWHERE = {
+    "n5": (n5, 70),
+    "chain3": (lambda: chain(3), 35),
+    "chain4": (lambda: chain(4), 126),
+    "chain5": (lambda: chain(5), 462),
+    **{
+        "union" + "-".join(map(str, shape)): (
+            lambda shape=shape: chain_union(*shape), count
+        )
+        for shape, count in [
+            ((1, 1), 23),
+            ((2, 1), 70),
+            ((1, 1, 1), 52),
+            ((1, 1, 1, 1), 125),
+            ((2, 1, 1), 156),
+            ((2, 2), 206),
+            ((3, 1), 232),
+            ((2, 2, 1), 468),
+            ((3, 1, 1), 513),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", LEAST_EVERYWHERE)
+def test_localizations_are_least_localizations(name):
+    build, count = LEAST_EVERYWHERE[name]
+    lat = build()
+    assert len(enumerate_model_structures(lat)) == count
+    every, differing, covers, differing_covers = against_least_localizations(lat)
+    assert every > covers > 0
+    assert differing == differing_covers == 0
+
+
+# (localizations, differing, at covers, differing at covers): W' is not
+# always the least localization.
+LEAST_MISSES = {
+    "grid2x1": (1756, 22, 800, 12),
+    "cube": (14268, 168, 7308, 108),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_MISSES))
+def test_localizations_that_miss_the_least_localization(name, grid21):
+    lat = {"grid2x1": grid21, "cube": cube()}[name]
+    assert against_least_localizations(lat) == LEAST_MISSES[name]
+
+
+def test_least_localization_example_on_grid2x1(grid21):
+    # W = AF = {(1,0)->(2,0)}, localized on the left at (0,0)->(1,0): the
+    # library adds (0,1)->(2,1), the pushout of the new composite
+    # (0,0)->(2,0), and then (1,1)->(2,1); the least localization does not.
+    weq = ArrowSet.from_labels(grid21, [("(1,0)", "(2,0)")])
+    model = derive_classes(weq, weq)
+    f = grid21.arrow("(0,0)", "(1,0)")
+    least = least_localization(model, f, "left")
+    assert least.weq == ArrowSet.from_labels(
+        grid21,
+        [("(0,0)", "(1,0)"), ("(0,0)", "(2,0)"), ("(0,1)", "(1,1)"), ("(1,0)", "(2,0)")],
+    )
+    assert least.acyclic_fib == weq
+    got = left_localize(model, f).weq
+    assert got - least.weq == ArrowSet.from_labels(
+        grid21, [("(0,1)", "(2,1)"), ("(1,1)", "(2,1)")]
+    )
+
+
+def test_least_localization_without_candidates(pentagon):
+    models = enumerate_model_structures(pentagon)
+    trivial = models[0]
+    kept = {m.cof for m in models}
+    singles = [ArrowSet.of(pentagon, [f]) for f in pentagon.arrows]
+    stray = trivial._replace(cof=next(c for c in singles if c not in kept))
+    assert least_localization(stray, pentagon.covers[0], "left") == "none"
+
+
 REACH = {
     "n5": (70, True),
     "square": (23, True),
@@ -856,6 +962,8 @@ def test_graph_walks_on_hand_made_graphs():
     assert is_weakly_connected(joined)
     assert_graph_walks_match_naive(joined)
     assert_graph_walks_match_naive(graph([(1, 0), (2, 4)], trivial=2))
+    # no structures at all: nothing is left apart
+    assert is_weakly_connected(LocalizationGraph((), (), 0))
 
 
 def test_singleton_lattice_graph():

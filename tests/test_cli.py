@@ -324,6 +324,13 @@ def test_models_interval(cli, tmp_path):
     assert data["count"] == 26
     assert data["t_min"] == []
     assert len(data["t_max"]) == 8
+    code, out, _ = cli(
+        "models", "interval", "--lattice", "builtin:n5", "--weq", every,
+        "--format", "dot",
+    )
+    assert code == 0
+    assert out.startswith("digraph af_interval {\n")
+    assert sum(" [label=" in line for line in out.splitlines()) == 26
 
 
 def test_models_interval_rejects_non_weq(cli, tmp_path):

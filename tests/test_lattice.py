@@ -98,6 +98,8 @@ def test_cycle_rejected():
 
 
 def test_non_lattice_rejected():
+    with pytest.raises(NotALattice):
+        build_lattice([], [])
     # two maximal elements have no join
     with pytest.raises(NotALattice):
         build_lattice(["0", "a", "b"], [("0", "a"), ("0", "b")])
@@ -182,6 +184,8 @@ def test_short_factorizations_n5(pentagon):
     assert names == [["0->A", "A->C", "C->1"], ["0->B", "B->1"]]
     single = enumerate_short_factorizations(pentagon, pentagon.arrow("A", "C"))
     assert single == [(pentagon.arrow("A", "C"),)]
+    with pytest.raises(NotALattice):
+        enumerate_short_factorizations(pentagon, Arrow(2, 2))
 
 
 def test_find_pentagon_embeddings(pentagon, square, grid21):

@@ -47,6 +47,7 @@ from oracles import (
     is_transfer_naive,
     lex_key,
     naive_is_weak_equivalence_set,
+    premodel_tiers,
     pushout_close,
     systems_between,
     two_of_three_pass,
@@ -800,3 +801,45 @@ def test_derive_refuses_sets_from_two_lattices(check):
     for weq, af in ((lat, other), (other, lat)):
         with pytest.raises(ValueError, match="belong to different lattices"):
             derive_classes(ArrowSet.empty(weq), ArrowSet.empty(af), check=check)
+
+
+# (transfer systems, premodel, composition-closed premodel, model) per
+# lattice.  On chain(k), with n = k + 1, the three tiers count Tamari
+# intervals (OEIS A000260), Kreweras intervals (OEIS A001764) and
+# C(2k + 1, k).
+PREMODEL_TIERS = {
+    "chain1": (2, 3, 3, 3),
+    "chain2": (5, 13, 12, 10),
+    "chain3": (14, 68, 55, 35),
+    "chain4": (42, 399, 273, 126),
+    "chain5": (132, 2530, 1428, 462),
+    "n5": (26, 216, 135, 70),
+    "square": (10, 44, 33, 23),
+    "grid2x1": (68, 1157, 503, 182),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREMODEL_TIERS))
+def test_premodel_tiers(name, corpus):
+    lat = corpus[name] if name in corpus else chain(int(name[len("chain"):]))
+    premodels, closed, models = premodel_tiers(lat)
+    counts = (len(transfer_catalog(lat)), len(premodels), len(closed), len(models))
+    assert counts == PREMODEL_TIERS[name]
+    model_keys = {m.key() for m in models}
+    assert model_keys == {m.key() for m in enumerate_model_structures(lat)}
+    # Every premodel passes the lifting and class identities, so on them
+    # verify_model_axioms answers with its two-out-of-three parity alone.
+    for premodel in premodels:
+        assert verify_model_axioms(premodel) == (premodel.key() in model_keys)
+
+
+def test_premodel_tiers_on_chains_follow_their_sequences():
+    for k in range(1, 6):
+        n = k + 1
+        tamari = 2 * math.factorial(4 * n + 1) // (
+            math.factorial(n + 1) * math.factorial(3 * n + 2)
+        )
+        kreweras = math.comb(3 * n, n) // (2 * n + 1)
+        assert PREMODEL_TIERS[f"chain{k}"][1:] == (
+            tamari, kreweras, math.comb(2 * k + 1, k)
+        )

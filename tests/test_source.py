@@ -11,12 +11,18 @@ SOURCES = sorted(Path(latmod.__file__).parent.glob("*.py"))
 
 
 def test_library_has_no_assert_statements():
-    # `python -O` strips asserts, so invariants must raise typed errors.
+    # `python -O` strips asserts and `if __debug__:` blocks, so invariants
+    # must raise typed errors.
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ] + [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "__debug__" in line
     ]
     assert SOURCES
     assert found == []
