@@ -92,12 +92,20 @@ class ArrowSet:
     # -- set behaviour --------------------------------------------------
 
     def __contains__(self, f: object) -> bool:
-        # Anything that is not a pair of element indices is no member,
-        # like a pair that names no arrow.
+        # An Arrow or a pair tuple is a key as it is; anything else is read
+        # as a pair.  What is not a pair of element indices is no member,
+        # like a pair that names no arrow.  get, not [], so that a miss
+        # raises nothing.
+        position = self.lattice.arrow_position
         try:
-            pos = self.lattice.arrow_position.get(tuple(f))
+            pos = position.get(f)
         except TypeError:
-            return False
+            pos = None
+        if pos is None:
+            try:
+                pos = position.get(tuple(f))
+            except TypeError:
+                return False
         return pos is not None and bool(self.mask >> pos & 1)
 
     def __iter__(self) -> Iterator[Arrow]:
@@ -178,12 +186,13 @@ class _Tables:
     chain5 two of 8, the cube two of 10, grid2x2 three of 9.  Per chunk
     it holds the bit offset and three tables indexed by the chunk's bits
     b: the arrows that lift on the left, and those that lift on the
-    right, of every arrow b names, and the union of b's role rows.  So
-    llp and rlp are the AND of one entry per chunk, and
-    verify_model_axioms reads all five of its unions in one pass.  The
-    tables take 2^12 entries per column and chunk at most: about 0.35 MB
-    on grid2x1, 0.17 MB on the cube, 1.3 MB on grid5x1 and 2.4 MB on
-    grid3x2.
+    right, of every arrow b names, and the sum of b's role rows: a 2-bit
+    count per triangle of the arrows b names.  So llp and rlp are the
+    AND of one entry per chunk, a mask's counts are the sum of one entry
+    per chunk, and verify_model_axioms reads all five in one pass.
+    The tables take 2^12 entries per column and chunk at most: about
+    0.32 MB on grid2x1, 0.16 MB on the cube, 1.2 MB on grid5x1 and 2.2 MB
+    on grid3x2.
     """
 
     __slots__ = (
@@ -257,14 +266,16 @@ class _Tables:
             "right": partial(_extend, two_of_three_at, pull),
             "left": partial(_extend, two_of_three_at, push),
         }
-        # Role rows, for verify_model_axioms: triangle t owns bits 3t (its
-        # first leg), 3t + 1 (its second leg) and 3t + 2 (its composite),
-        # roles[a] holds the bits of a's places, and role_base every 3t.
+        # Role rows, for verify_model_axioms: triangle t owns the 2-bit
+        # field at bit 2t, roles[a] holds 1 in the field of each triangle
+        # through a, and role_base every bit 2t.  A sum of role rows
+        # counts, per triangle, how many of its three arrows it holds, so
+        # no field exceeds 3 or carries into the next.
         roles = [0] * m
-        for i, triple in enumerate(triples):
-            for place, a in enumerate(triple):
-                roles[a] |= 1 << 3 * i + place
-        self.role_base = sum(1 << 3 * t for t in range(len(triples)))
+        for t, triple in enumerate(triples):
+            for a in triple:
+                roles[a] += 1 << 2 * t
+        self.role_base = sum(1 << 2 * t for t in range(len(triples)))
 
         kill_llp = [0] * m
         kill_rlp = [0] * m
@@ -295,20 +306,20 @@ class _Tables:
                 s,
                 _chunk_table(full, [full & ~row for row in kill_llp[s : s + width]]),
                 _chunk_table(full, [full & ~row for row in kill_rlp[s : s + width]]),
-                _chunk_table(0, roles[s : s + width], union=True),
+                _chunk_table(0, roles[s : s + width], add=True),
             )
             for s in range(0, m, width or 1)
         )
 
 
-def _chunk_table(start: int, rows: list[int], union: bool = False) -> tuple[int, ...]:
-    # Entry [b] meets (or, with union, joins) start with rows[i] over the
-    # set bits i of b.  Doubling: row i extends the entries without bit i
-    # by their copies with it.
+def _chunk_table(start: int, rows: list[int], add: bool = False) -> tuple[int, ...]:
+    # Entry [b] meets start with (or, with add, adds to start) rows[i] over
+    # the set bits i of b.  Doubling: row i extends the entries without
+    # bit i by their copies with it.
     table = [start]
     for row in rows:
-        if union:
-            table += [x | row for x in table]
+        if add:
+            table += [x + row for x in table]
         else:
             table += [x & row for x in table]
     return tuple(table)

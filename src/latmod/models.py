@@ -292,21 +292,20 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     t = lat._cache.get("tables") or _tables(lat)
     weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
     # One pass over the masks' chunks: llp(AF), llp(F), rlp(C), rlp(AC)
-    # and W's union of role rows.
+    # and the sum of W's role rows, a 2-bit count of W's arrows per
+    # triangle.
     lift_af = lift_fib = lift_cof = lift_ac = t.full
-    roles = 0
+    count = 0
     low = t.chunk_bits
     for s, llp, rlp, role in t.lift_chunks:
         lift_af &= llp[af >> s & low]
         lift_fib &= llp[fib >> s & low]
         lift_cof &= rlp[cof >> s & low]
         lift_ac &= rlp[ac >> s & low]
-        roles |= role[weq >> s & low]
+        count += role[weq >> s & low]
     if lift_af != cof or lift_cof != af or lift_fib != ac or lift_ac != fib:
         return False
     if af & ~weq or ac != cof & weq or af != fib & weq:
         return False
-    # Two-out-of-three: no triangle holds exactly two of its arrows.
-    base = t.role_base
-    first, second, composite = roles & base, roles >> 1 & base, roles >> 2 & base
-    return not (first | second | composite) & ~(first ^ second ^ composite)
+    # Two-out-of-three: no triangle's count is 2 (high bit set, low clear).
+    return not count >> 1 & ~count & t.role_base

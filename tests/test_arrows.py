@@ -43,7 +43,6 @@ from oracles import (
     naive_rlp,
     pullback_close,
     pushout_close,
-    two_of_three_closed,
     two_of_three_pass,
     two_out_of_three_close,
     wide_decomposable_close,
@@ -122,6 +121,39 @@ def test_values_that_are_no_pair_of_indices_are_not_members(pentagon, value):
     # The same answer as for a pair that names no arrow, not a TypeError.
     for aset in (ArrowSet.empty(pentagon), ArrowSet.full(pentagon)):
         assert (value in aset) is False
+
+
+class _Unhashable:
+    __hash__ = None
+
+
+@pytest.mark.parametrize(
+    "value, named",
+    [
+        (Arrow(0, 1), True),
+        ((0, 1), True),
+        ([0, 1], True),
+        (range(2), True),
+        ("\x00\x01", False),
+        ([[0], [1]], False),
+        (_Unhashable(), False),
+        (object(), False),
+        ((1, 0), False),
+    ],
+    ids=[
+        "arrow", "tuple", "list", "range", "str", "unhashable-items",
+        "unhashable", "not-iterable", "no-arrow",
+    ],
+)
+def test_membership_reads_a_value_as_the_tuple_of_its_items(pentagon, value, named):
+    # An Arrow or a pair tuple is looked up as it is, any other value as
+    # the tuple of its items: a member exactly when that tuple is the
+    # arrow 0 -> A and the set holds it.  What has no items, or items
+    # that cannot be hashed, is no member.
+    k = pentagon.arrow_position[Arrow(0, 1)]
+    full = ArrowSet.full(pentagon).mask
+    for mask in (0, 1 << k, full ^ 1 << k, full):
+        assert (value in ArrowSet(pentagon, mask)) is (named and bool(mask >> k & 1))
 
 
 def test_arrow_sets_are_immutable_slotted_records(pentagon):
@@ -378,15 +410,12 @@ def test_pullback_and_pushout_tables_are_closed_under_themselves(corpus):
                         assert rows[j] & ~(row | 1 << i) == 0
 
 
-def role_union(t, mask):
-    # The union of the role rows over mask, from their definition: bit
-    # 3t + p when mask holds place p (first leg, second leg, composite) of
-    # triangle t.
+def role_counts(t, mask):
+    # The sum of the role rows over mask, from its definition: the 2-bit
+    # field at bit 2t counts the arrows of triangle t that mask holds.
     return sum(
-        1 << 3 * i + place
+        sum(1 for bit in triple if mask & bit) << 2 * i
         for i, triple in enumerate(t.triples)
-        for place, bit in enumerate(triple)
-        if mask & bit
     )
 
 
@@ -402,10 +431,10 @@ def naive_dual(naive, pairs, leq, mask):
 def test_byte_tables_match_the_row_unions(corpus, table):
     # Each column of lift_chunks against an oracle: the llp and rlp
     # columns (built from the kill_llp and kill_rlp rows) as intersections
-    # through naive_llp and naive_rlp, the roles as a union from the
-    # triples.  The chunks are balanced, at most 12 bits wide: one on
-    # grid2x1 (12 arrows), two on chain5 (15) and the cube (19), three on
-    # grid2x2 (27), none on the one-element lattice.
+    # through naive_llp and naive_rlp, the roles as per-triangle counts
+    # from the triples.  The chunks are balanced, at most 12 bits wide: one
+    # on grid2x1 (12 arrows), two on chain5 (15) and the cube (19), three
+    # on grid2x2 (27), none on the one-element lattice.
     lattices = [
         *corpus.values(),
         chain(5),
@@ -440,10 +469,11 @@ def test_byte_tables_match_the_row_unions(corpus, table):
                 for (s, *_), chunk in zip(t.lift_chunks, chunks)
             ]
             if table == "roles":
-                union = 0
-                for part in parts:
-                    union |= part
-                assert union == role_union(t, mask)
+                # Each entry counts the arrows of its chunk, and the
+                # entries add up to the mask's counts.
+                for (s, *_), part in zip(t.lift_chunks, parts):
+                    assert part == role_counts(t, mask & t.chunk_bits << s)
+                assert sum(parts) == role_counts(t, mask)
             else:
                 dual, naive = (
                     (_llp, naive_llp) if table == "kill_llp" else (_rlp, naive_rlp)
@@ -456,14 +486,18 @@ def test_byte_tables_match_the_row_unions(corpus, table):
 
 
 def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
-    # Every mask: no triangle holds exactly two of its arrows exactly when
-    # one pass completing such triangles adds nothing.
+    # Every mask: verify_model_axioms's test on the sum of one role-column
+    # entry per chunk (two on chain5) passes exactly when one pass
+    # completing the triangles that hold exactly two arrows adds nothing.
     for lat in (pentagon, square, grid21, chain(5)):
         t = _tables(lat)
-        assert t.role_base.bit_length() == 3 * len(t.triples) - 2
+        assert t.role_base.bit_length() == 2 * len(t.triples) - 1
         for mask in range(1 << len(lat.arrows)):
+            count = sum(
+                role[mask >> s & t.chunk_bits] for s, _, _, role in t.lift_chunks
+            )
             want = two_of_three_pass(t, mask) == mask
-            assert two_of_three_closed(t.role_base, role_union(t, mask)) == want
+            assert (not count >> 1 & ~count & t.role_base) == want
 
 
 def _square():

@@ -813,15 +813,22 @@ PREMODEL_TIERS = {
     "chain3": (14, 68, 55, 35),
     "chain4": (42, 399, 273, 126),
     "chain5": (132, 2530, 1428, 462),
+    "chain6": (429, 16965, 7752, 1716),
     "n5": (26, 216, 135, 70),
     "square": (10, 44, 33, 23),
+    "m3": (19, 145, 90, 52),
     "grid2x1": (68, 1157, 503, 182),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PREMODEL_TIERS))
 def test_premodel_tiers(name, corpus):
-    lat = corpus[name] if name in corpus else chain(int(name[len("chain"):]))
+    if name in corpus:
+        lat = corpus[name]
+    elif name == "m3":
+        lat = m3()
+    else:
+        lat = chain(int(name[len("chain"):]))
     premodels, closed, models = premodel_tiers(lat)
     counts = (len(transfer_catalog(lat)), len(premodels), len(closed), len(models))
     assert counts == PREMODEL_TIERS[name]
@@ -834,7 +841,7 @@ def test_premodel_tiers(name, corpus):
 
 
 def test_premodel_tiers_on_chains_follow_their_sequences():
-    for k in range(1, 6):
+    for k in range(1, 7):
         n = k + 1
         tamari = 2 * math.factorial(4 * n + 1) // (
             math.factorial(n + 1) * math.factorial(3 * n + 2)
