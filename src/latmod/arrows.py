@@ -93,19 +93,14 @@ class ArrowSet:
 
     def __contains__(self, f: object) -> bool:
         # An Arrow or a pair tuple is a key as it is; anything else is read
-        # as a pair.  What is not a pair of element indices is no member,
-        # like a pair that names no arrow.  get, not [], so that a miss
-        # raises nothing.
-        position = self.lattice.arrow_position
+        # as the tuple of its items.  What is not a pair of element indices
+        # is no member, like a pair that names no arrow.
         try:
-            pos = position.get(f)
+            pos = self.lattice.arrow_position.get(
+                f if isinstance(f, tuple) else tuple(f)
+            )
         except TypeError:
-            pos = None
-        if pos is None:
-            try:
-                pos = position.get(tuple(f))
-            except TypeError:
-                return False
+            return False
         return pos is not None and bool(self.mask >> pos & 1)
 
     def __iter__(self) -> Iterator[Arrow]:

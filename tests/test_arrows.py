@@ -486,9 +486,12 @@ def test_byte_tables_match_the_row_unions(corpus, table):
 
 
 def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
-    # Every mask: verify_model_axioms's test on the sum of one role-column
-    # entry per chunk (two on chain5) passes exactly when one pass
-    # completing the triangles that hold exactly two arrows adds nothing.
+    # Every mask: the count test on the sum of one role-column entry per
+    # chunk (two on chain5) passes exactly when one pass completing the
+    # triangles that hold exactly two arrows adds nothing.  This checks the
+    # count layout; verify_model_axioms makes the same test inline, and
+    # test_premodel_tiers covers it there, since on a premodel every other
+    # identity holds and only the counts decide the verdict.
     for lat in (pentagon, square, grid21, chain(5)):
         t = _tables(lat)
         assert t.role_base.bit_length() == 2 * len(t.triples) - 1

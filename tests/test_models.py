@@ -11,7 +11,6 @@ from latmod import (
     NotAdmissible,
     UnknownLabel,
     af_interval,
-    build_lattice,
     chain,
     close_two_out_of_three,
     close_wide_decomposable,
@@ -41,7 +40,7 @@ from latmod.arrows import (
 )
 from latmod.models import _factors
 
-from conftest import lattice_as_sets
+from conftest import chain_union, lattice_as_sets
 from oracles import (
     compose_close,
     is_transfer_naive,
@@ -115,16 +114,8 @@ def test_weq_counts_beyond_the_old_arrow_cutoff():
         assert len(enumerate_weak_equivalence_sets(lat)) == count
 
 
-def m3():
-    """The diamond with three atoms, 0 < a, b, c < 1."""
-    return build_lattice(
-        ["0", "a", "b", "c", "1"],
-        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
-    )
-
-
 def test_criterion_matches_the_chain_walk_on_every_subset(corpus):
-    for lat in (*corpus.values(), m3()):
+    for lat in (*corpus.values(), chain_union(1, 1, 1)):
         every = [ArrowSet(lat, mask) for mask in range(1 << len(lat.arrows))]
         agrees_with_chain_walk(lat, every)
 
@@ -135,7 +126,7 @@ def test_criterion_matches_the_chain_walk_on_every_subset(corpus):
         (lambda: product(product(chain(1), chain(1)), chain(1)), 159),
         (lambda: product(chain(3), chain(1)), 56),
         (lambda: product(chain(2), chain(2)), 224),
-        (lambda: product(m3(), chain(1)), 2588),
+        (lambda: product(chain_union(1, 1, 1), chain(1)), 2588),
         (lambda: product(n5(), chain(1)), 1350),
     ],
     ids=["cube", "grid3x1", "grid2x2", "m3xchain1", "n5xchain1"],
@@ -826,7 +817,7 @@ def test_premodel_tiers(name, corpus):
     if name in corpus:
         lat = corpus[name]
     elif name == "m3":
-        lat = m3()
+        lat = chain_union(1, 1, 1)
     else:
         lat = chain(int(name[len("chain"):]))
     premodels, closed, models = premodel_tiers(lat)
@@ -835,7 +826,7 @@ def test_premodel_tiers(name, corpus):
     model_keys = {m.key() for m in models}
     assert model_keys == {m.key() for m in enumerate_model_structures(lat)}
     # Every premodel passes the lifting and class identities, so on them
-    # verify_model_axioms answers with its two-out-of-three parity alone.
+    # verify_model_axioms answers with its two-out-of-three counts alone.
     for premodel in premodels:
         assert verify_model_axioms(premodel) == (premodel.key() in model_keys)
 
