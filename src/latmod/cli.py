@@ -128,7 +128,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise LatmodError(f"cannot write {out}: {exc}") from exc
@@ -362,11 +362,12 @@ def main(argv: list[str] | None = None) -> int:
     except LatmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        # The reader went away (`latmod ... | head -1`) or the write
-        # failed (`> /dev/full`).  Point stdout at devnull so the
-        # interpreter's final flush cannot fail again.  A closed pipe
-        # exits with the status a shell reports for death by SIGPIPE.
+    except (OSError, UnicodeEncodeError) as exc:
+        # The reader went away (`latmod ... | head -1`), the write failed
+        # (`> /dev/full`), or the locale cannot encode a label.  Point
+        # stdout at devnull so the interpreter's final flush cannot fail
+        # again.  A closed pipe exits with the status a shell reports for
+        # death by SIGPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):

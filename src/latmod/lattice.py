@@ -325,9 +325,10 @@ def _cached(cache: dict, key: Hashable, build: Callable, *args: Any) -> Any:
 def pushouts_of(lat: FiniteLattice, f: Arrow) -> frozenset[Arrow]:
     """Nontrivial pushouts of f: for each z >= source, the arrow z -> z v target.
 
-    Identities and f itself are excluded.
+    Identities and f itself are excluded.  Raises UnknownLabel, worded by
+    `FiniteLattice.arrow_index`, when f names no arrow.
     """
-    s, t = f
+    s, t = lat.arrows[lat.arrow_index(f)]
     out: set[Arrow] = set()
     for z in range(lat.n):
         if lat.le(s, z):
@@ -338,8 +339,11 @@ def pushouts_of(lat: FiniteLattice, f: Arrow) -> frozenset[Arrow]:
 
 
 def pullbacks_of(lat: FiniteLattice, f: Arrow) -> frozenset[Arrow]:
-    """Nontrivial pullbacks of f: for each z <= target, the arrow source ^ z -> z."""
-    s, t = f
+    """Nontrivial pullbacks of f: for each z <= target, the arrow source ^ z -> z.
+
+    Raises UnknownLabel, like `pushouts_of`, when f names no arrow.
+    """
+    s, t = lat.arrows[lat.arrow_index(f)]
     out: set[Arrow] = set()
     for z in range(lat.n):
         if lat.le(z, t):
@@ -356,10 +360,12 @@ def enumerate_short_factorizations(
 
     These are the maximal chains of the interval [source, target]; every
     step is a cover of the ambient lattice because intervals are convex.
+    An identity raises NotALattice; any other f that names no arrow raises
+    UnknownLabel, like `pushouts_of`.
     """
-    s, t = f
-    if s == t:
+    if f in [(x, x) for x in range(lat.n)]:
         raise NotALattice("identity arrows have no short factorization")
+    s, t = lat.arrows[lat.arrow_index(f)]
     step: dict[int, list[Arrow]] = {}
     for c in lat.covers:
         if lat.le(s, c.source) and lat.le(c.target, t):

@@ -1,4 +1,5 @@
 """End-to-end command line behaviour via main(argv)."""
+import codecs
 import hashlib
 import json
 import os
@@ -642,6 +643,48 @@ def test_full_stdout_exits_3_with_one_error_line(argv):
     assert line.startswith("error: cannot write standard output: [Errno 28]")
 
 
+def test_output_is_utf8_in_files_and_a_failed_write_on_an_ascii_stdout(
+    cli, tmp_path
+):
+    # Under the C locale without UTF-8 mode, stdout encodes ASCII only.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(SRC),
+        PYTHONCOERCECLOCALE="0",
+        LC_ALL="C",
+        PYTHONUTF8="0",
+    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+
+    encoding = run(
+        "-c", "import locale; print(locale.getpreferredencoding(False))"
+    ).stdout.decode().strip()
+    if codecs.lookup(encoding).name != "ascii":
+        pytest.skip(f"the C locale encodes {encoding}, not ASCII")
+    lattice = write_json(
+        tmp_path / "omega.json",
+        {"elements": ["0", "Ω", "1"], "covers": [["0", "Ω"], ["Ω", "1"]]},
+    )
+    info = run("-m", "latmod.cli", "lattice", "info", "--lattice", lattice)
+    assert (info.returncode, info.stdout) == (3, b"")
+    [line] = info.stderr.decode().splitlines()
+    assert line.startswith("error: cannot write standard output: ")
+    argv = ("transfers", "enumerate", "--lattice", lattice, "--format", "dot")
+    dot = run("-m", "latmod.cli", *argv, "--out", "x.dot")
+    assert (dot.returncode, dot.stdout, dot.stderr) == (0, b"", b"")
+    _, text, _ = cli(*argv)
+    assert "Ω" in text
+    assert (tmp_path / "x.dot").read_text(encoding="utf-8") == text
+
+
 # sha256 of the exports by format.  The JSON digests were taken from the
 # implementation before the localization layer moved to mask operations,
 # the DOT digests from the implementation before the lattice core moved
@@ -703,3 +746,86 @@ def test_json_exports_are_byte_identical(cli, tmp_path, case):
     assert code == 0
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == EXPORT_DIGESTS[fmt][(kind, name)]
+
+
+# Input files for CLI_OUTPUTS, written into the working directory.
+CLI_INPUTS = {
+    "g22-dual.json": '{"arrows": [["(0,0)", "(0,1)"], ["(1,0)", "(2,1)"], ["(1,1)", "(2,2)"]]}\n',
+    "g22-weq.json": '{"arrows": [["(0,1)", "(0,2)"], ["(1,0)", "(1,1)"], ["(1,0)", "(1,2)"], ["(1,0)", "(2,0)"], ["(1,0)", "(2,1)"], ["(1,1)", "(1,2)"], ["(1,1)", "(2,1)"], ["(2,0)", "(2,1)"]]}\n',
+    "g22-af.json": '{"arrows": [["(0,1)", "(0,2)"], ["(1,0)", "(2,0)"], ["(1,1)", "(1,2)"], ["(1,1)", "(2,1)"]]}\n',
+    "trivial.json": '{"weq": [], "af": []}\n',
+    "c1.json": '{"weq": [["C", "1"]], "af": []}\n',
+    "outside.json": '{"weq": [["0", "A"]], "af": [["0", "B"]]}\n',
+    "weq.json": '{"arrows": [["0", "A"]]}\n',
+    "af.json": '{"arrows": [["0", "B"]]}\n',
+    "empty.json": '{"arrows": []}\n',
+}
+N5 = ("--lattice", "builtin:n5")
+GRID22 = ("--lattice", "builtin:grid2x2")
+# argv -> (id, exit code, stdout, stderr).  The stdout entry is the text
+# itself or the sha256 of its bytes.  grid2x2 has 27 arrows, so its
+# lifting tables have three chunks: dual reads every AF interval and both
+# duals of a set spread over the chunks, verify a W that meets all three.
+CLI_OUTPUTS = {
+    ("reproduce", "--paper-checks"): (
+        "reproduce", 0,
+        "8c150d99b733b80d7b545591e0fbcd9f39b1320e2234d01b1375169ef3c62614", ""),
+    ("graph", "reach", "--lattice", "builtin:chain7", "--expect-all"): (
+        "reach-chain7-expect-all", 0,
+        "reachable from trivial: 6435/6435\nweakly connected: yes\n", ""),
+    ("models", "enumerate", *N5, "--format", "json"): (
+        "models-n5-json", 0,
+        "dad7c152169bf1d5922014efa4b670d35a42f35853261c8de4399bc758bc9a14", ""),
+    ("models", "enumerate", *N5, "--format", "dot"): (
+        "models-n5-dot", 0,
+        "89217f8e542afa21770a5a34389cf71ff71f8d1cb60470b9da9f02eae88c18ad", ""),
+    ("transfers", "enumerate", *N5, "--format", "dot"): (
+        "transfers-n5-dot", 0,
+        "39db6d01fc97ce87d2de67826449cc8e68251ea0f596f4ae53a6d53bec54564d", ""),
+    ("models", "enumerate", *GRID22, "--format", "csv"): (
+        "models-grid2x2-csv", 0,
+        "6c5de2e06200b6a60d4ef9085de2b8f18928484456e5538813ae611c7a2b82cf", ""),
+    ("models", "enumerate", *GRID22, "--count-only"): (
+        "models-grid2x2-count", 0, "3249\n", ""),
+    ("transfers", "dual", *GRID22, "--arrows", "g22-dual.json"): (
+        "dual-grid2x2", 0,
+        "0d3cafa251c878e3daa0b25ab7e2587d0beacf5d9b6f318c861729ab22e7c01f", ""),
+    ("models", "verify", *GRID22, "--weq", "g22-weq.json", "--af", "g22-af.json",
+     "--expect-valid"): (
+        "verify-grid2x2", 0,
+        "ff965d1b75e95c9b936295f68f0dbeb21fa38dce342feaed073ffa6bef3cfc9a", ""),
+    ("localize", *N5, "--model", "trivial.json", "--side", "right", "--at", "0,A"): (
+        "localize-trivial-right-0A", 0,
+        "7d5a4f4bd6844b0adb06f5ffb1ea6cd16f78dd968f98e1b89663e6bf010013c1", ""),
+    ("localize", *N5, "--model", "trivial.json", "--side", "right", "--at", "C,1"): (
+        "localize-trivial-right-C1", 0,
+        "8e74606a6ca72331775959ae8629aed059f4937bbb6497b304dcc1004d0aa1bb", ""),
+    ("localize", *N5, "--model", "trivial.json", "--side", "left", "--at", "0,A"): (
+        "localize-trivial-left-0A", 0,
+        "864ebf2fdf24047dd0a7e95459810848799d23827b116505a29ee801bff7d806", ""),
+    # Four golden reports from a W whose C and 1 share a block.
+    ("localize", *N5, "--model", "c1.json", "--side", "right", "--at", "B,1"): (
+        "localize-c1-right-B1", 0,
+        "e8f8e1645b44d41500b1f77f58a99a6b3d6a76d663d517c6457e66de2c1034a5", ""),
+    ("localize", *N5, "--model", "outside.json", "--side", "right", "--at", "0,A"): (
+        "localize-outside-refused", 3, "",
+        "error: AF={0->B} is outside the admissible interval of W={0->A}\n"),
+    ("models", "verify", *N5, "--weq", "weq.json", "--af", "af.json", "--expect-valid"): (
+        "verify-n5-outside-fails", 1, '{\n  "valid": false\n}\n', ""),
+    ("models", "verify", *N5, "--weq", "empty.json", "--af", "empty.json",
+     "--expect-valid"): (
+        "verify-n5-trivial", 0, '{\n  "valid": true\n}\n', ""),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", CLI_OUTPUTS, ids=[case[0] for case in CLI_OUTPUTS.values()]
+)
+def test_cli_output_matches_its_pin(cli, tmp_path, monkeypatch, argv):
+    for name, text in CLI_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    _, code, stdout, stderr = CLI_OUTPUTS[argv]
+    got_code, out, err = cli(*argv)
+    assert (got_code, err) == (code, stderr)
+    assert stdout in (out, hashlib.sha256(out.encode()).hexdigest())

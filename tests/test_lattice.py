@@ -188,6 +188,26 @@ def test_short_factorizations_n5(pentagon):
         enumerate_short_factorizations(pentagon, Arrow(2, 2))
 
 
+@pytest.mark.parametrize(
+    "f",
+    [(1, 2), (3, 0), (99, 0), "ab", None],
+    ids=["incomparable", "reversed", "no-such-element", "string", "none"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [pushouts_of, pullbacks_of, enumerate_short_factorizations],
+    ids=lambda build: build.__name__,
+)
+def test_an_argument_naming_no_arrow_is_refused_like_arrow_index(
+    pentagon, build, f
+):
+    with pytest.raises(UnknownLabel) as expected:
+        pentagon.arrow_index(f)
+    with pytest.raises(UnknownLabel) as refused:
+        build(pentagon, f)
+    assert str(refused.value) == str(expected.value)
+
+
 def test_find_pentagon_embeddings(pentagon, square, grid21):
     assert find_sublattice_embedding(pentagon, pentagon) == (0, 1, 2, 3, 4)
     assert find_sublattice_embedding(square, pentagon) is None
