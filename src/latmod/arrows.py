@@ -175,16 +175,21 @@ class _Tables:
 
     Each closure kind is one kernel, kernel(mask, new): _extend bound in
     __init__ to a rule table and a row table (compose, transfer,
-    cotransfer, wide, two_of_three and localize[side]).  lift_chunks
-    splits an arrow mask into chunks of at most 12 bits, all chunk_bits
-    wide but the last: a lattice with at most 12 arrows has one chunk,
-    chain5 two of 8, the cube two of 10, grid2x2 three of 9.  Per chunk
-    it holds the bit offset and three tables indexed by the chunk's bits
-    b: the arrows that lift on the left, and those that lift on the
-    right, of every arrow b names, and the sum of b's role rows: a 2-bit
-    count per triangle of the arrows b names.  So llp and rlp are the
-    AND of one entry per chunk, a mask's counts are the sum of one entry
-    per chunk, and verify_model_axioms reads all five in one pass.
+    cotransfer, wide, two_of_three and localize[side]).  The lifting
+    tables split an arrow mask into chunks of at most 12 bits, all
+    chunk_bits wide but the last: a lattice with at most 12 arrows has one
+    chunk, chain5 two of 8, the cube two of 10, grid2x2 three of 9.  Per
+    chunk there are three tables indexed by the chunk's bits b: the
+    arrows that lift on the left, and those that lift on the right, of
+    every arrow b names, and the sum of b's role rows: a 2-bit count per
+    triangle of the arrows b names.  lift_first holds the first chunk's
+    three tables, read at mask & chunk_bits as its offset is 0;
+    lift_rest holds (offset, llp, rlp, role) for each later chunk, and is
+    empty on a lattice with at most 12 arrows.  A lattice with no arrows
+    gets a first chunk of one entry, so no reader branches on the arrow
+    count.  So llp and rlp are the AND of one entry per chunk, a mask's
+    counts are the sum of one entry per chunk, and verify_model_axioms
+    reads all five in one pass.
     The tables take 2^12 entries per column and chunk at most: about
     0.32 MB on grid2x1, 0.16 MB on the cube, 1.2 MB on grid5x1 and 2.2 MB
     on grid3x2.
@@ -200,7 +205,8 @@ class _Tables:
         "down",
         "role_base",
         "chunk_bits",
-        "lift_chunks",
+        "lift_first",
+        "lift_rest",
         "compose",
         "transfer",
         "cotransfer",
@@ -296,15 +302,18 @@ class _Tables:
         width = -(-m // count) if count else 0
         self.chunk_bits = (1 << width) - 1
         full = self.full
-        self.lift_chunks = tuple(
+        chunks = [
             (
                 s,
                 _chunk_table(full, [full & ~row for row in kill_llp[s : s + width]]),
                 _chunk_table(full, [full & ~row for row in kill_rlp[s : s + width]]),
                 _chunk_table(0, roles[s : s + width], add=True),
             )
-            for s in range(0, m, width or 1)
-        )
+            # With no arrows, range(0, 1) still makes one chunk of one entry.
+            for s in range(0, max(m, 1), width or 1)
+        ]
+        self.lift_first = chunks[0][1:]
+        self.lift_rest = tuple(chunks[1:])
 
 
 def _chunk_table(start: int, rows: list[int], add: bool = False) -> tuple[int, ...]:
@@ -480,16 +489,16 @@ def rlp_dual(aset: ArrowSet) -> ArrowSet:
 
 def _llp(t: _Tables, mask: int) -> int:
     # The arrows that lift against every member: one entry per chunk.
-    lift = t.full
     low = t.chunk_bits
-    for s, llp, _, _ in t.lift_chunks:
+    lift = t.lift_first[0][mask & low]
+    for s, llp, _, _ in t.lift_rest:
         lift &= llp[mask >> s & low]
     return lift
 
 
 def _rlp(t: _Tables, mask: int) -> int:
-    lift = t.full
     low = t.chunk_bits
-    for s, _, rlp, _ in t.lift_chunks:
+    lift = t.lift_first[1][mask & low]
+    for s, _, rlp, _ in t.lift_rest:
         lift &= rlp[mask >> s & low]
     return lift

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from typing import Any
@@ -135,6 +134,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(data: Any, out: str | None) -> None:
+    import json
+
     _emit(json.dumps(data, indent=2) + "\n", out)
 
 

@@ -51,7 +51,10 @@ class FiniteLattice:
             Arrow(s, t) for s, row in enumerate(up) for t in _bits(row) if s != t
         )
         self.arrow_position = {f: i for i, f in enumerate(self.arrows)}
-        self.covers = tuple(Arrow(*st) for st in hasse_covers(range(self.n), self.le))
+        self.covers = tuple(
+            Arrow(*st)
+            for st in hasse_covers([row & ~(1 << x) for x, row in enumerate(up)])
+        )
         # Kept computations (see _cached), and per W kind one dict keyed by
         # W's mask, that warm queries read directly.
         self._cache: dict[Hashable, Any] = {
@@ -267,24 +270,47 @@ def product(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:
     return build_lattice(labels, covers)
 
 
-def hasse_covers(items: Sequence, le: Callable) -> list[tuple[int, int]]:
-    """Cover pairs (i, j) of the partial order `le` on items, row-major.
+def hasse_covers(above: Sequence[int]) -> list[tuple[int, int]]:
+    """Cover pairs (i, j) of a partial order given by its rows, row-major.
 
-    items[i] is covered by items[j] when le(items[i], items[j]) holds and
-    no third item lies strictly between them.  The items must be distinct
-    and listed in a linear extension of `le`, so only pairs i < j are
-    compared.
+    above[i] is an index mask: bit j is set when item i < item j.  The
+    items must be listed in a linear extension of the order, so every bit
+    of above[i] lies above bit i.  Then the lowest bit j of a row is a
+    cover of i, as an item between i and j would be a lower bit of the
+    row; dropping j and above[j] leaves the other covers of i and what
+    lies above them only.  So each cover costs one AND of a row, and no
+    pair of items is compared.
     """
-    # above[i] is an index mask: bit j is set when items[i] < items[j].
-    above = [
-        sum(1 << j for j in range(i + 1, len(items)) if le(a, items[j]))
-        for i, a in enumerate(items)
-    ]
-    return [
-        (i, j)
-        for i, row in enumerate(above)
-        for j in _bits(row & ~_union_rows(above, row))
-    ]
+    covers = []
+    for i, row in enumerate(above):
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            covers.append((i, j))
+            row &= ~(low | above[j])
+    return covers
+
+
+def containment_rows(masks: Sequence[int]) -> list[int]:
+    """The rows of hasse_covers for int masks ordered by containment.
+
+    The masks must be listed in a linear extension of containment, and
+    row i holds the j > i with masks[i] <= masks[j]: the AND, over the set
+    bits b of masks[i], of the index mask of the items that hold b.
+    """
+    n = len(masks)
+    width = max(masks, default=0).bit_length()
+    # holds[b] is the index mask of the items with bit b, read off column
+    # b of the items' binary digits, last item first.
+    digits = [format(mask, f"0{width}b") for mask in reversed(masks)]
+    holds = [int("".join(column), 2) for column in zip(*digits)][::-1]
+    rows = []
+    for i, mask in enumerate(masks):
+        row = (1 << n) - (2 << i)
+        for b in _bits(mask):
+            row &= holds[b]
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

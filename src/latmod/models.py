@@ -293,11 +293,15 @@ def verify_model_axioms(model: ModelStructure) -> bool:
     weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
     # One pass over the masks' chunks: llp(AF), llp(F), rlp(C), rlp(AC)
     # and the sum of W's role rows, a 2-bit count of W's arrows per
-    # triangle.
-    lift_af = lift_fib = lift_cof = lift_ac = t.full
-    count = 0
+    # triangle.  The first chunk sits at offset 0, so it needs no shift.
     low = t.chunk_bits
-    for s, llp, rlp, role in t.lift_chunks:
+    llp, rlp, role = t.lift_first
+    lift_af = llp[af & low]
+    lift_fib = llp[fib & low]
+    lift_cof = rlp[cof & low]
+    lift_ac = rlp[ac & low]
+    count = role[weq & low]
+    for s, llp, rlp, role in t.lift_rest:
         lift_af &= llp[af >> s & low]
         lift_fib &= llp[fib >> s & low]
         lift_cof &= rlp[cof >> s & low]

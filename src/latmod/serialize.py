@@ -1,11 +1,9 @@
 """JSON and DOT interchange for lattices, arrow sets, and model structures."""
 from __future__ import annotations
 
-import json
-import operator
 import re
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .arrows import ArrowSet
 from .bousfield import GoldenArrowReport, LocalizationGraph
@@ -14,6 +12,7 @@ from .lattice import (
     FiniteLattice,
     build_lattice,
     chain,
+    containment_rows,
     hasse_covers,
     n5,
     product,
@@ -138,6 +137,8 @@ def _read_json(path: str | Path) -> Any:
         raise LatmodError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise LatmodError(f"{path} is not UTF-8 text: {exc}") from exc
+    import json
+
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -154,31 +155,41 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _hasse_dot(
-    name: str, labels: Sequence[str], items: Sequence, le: Callable
-) -> str:
-    # Node i is labelled labels[i]; the edges are the covers of le on items.
+def _hasse_dot(name: str, labels: Sequence[str], above: Sequence[int]) -> str:
+    # Node i is labelled labels[i]; the edges are the covers of the rows.
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     lines += [f"  n{i} [label={_quote(lab)}];" for i, lab in enumerate(labels)]
-    lines += [f"  n{i} -> n{j};" for i, j in hasse_covers(items, le)]
+    lines += [f"  n{i} -> n{j};" for i, j in hasse_covers(above)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def systems_dot(systems: Sequence[ArrowSet], name: str = "systems") -> str:
-    """Hasse diagram of a family of arrow sets under containment."""
+    """Hasse diagram of a family of arrow sets under containment.
+
+    The family must be listed in a linear extension of containment, as
+    every catalog and interval is.
+    """
     return _hasse_dot(
-        name, [s.signature() for s in systems], systems, operator.le
+        name,
+        [s.signature() for s in systems],
+        containment_rows([s.mask for s in systems]),
     )
 
 
 def models_dot(structures: Sequence[ModelStructure]) -> str:
-    """Hasse diagram of model structures under componentwise containment."""
+    """Hasse diagram of model structures under componentwise containment.
+
+    One structure lies below another when both its W and its AF do, that
+    is when the mask W | AF << shift does, for a shift past every W bit.
+    """
+    shift = max((m.weq.mask for m in structures), default=0).bit_length()
     return _hasse_dot(
         "model_structures",
         [m.signature() for m in structures],
-        [m.key() for m in structures],
-        lambda a, b: not (a[0] & ~b[0] or a[1] & ~b[1]),
+        containment_rows(
+            [m.weq.mask | m.acyclic_fib.mask << shift for m in structures]
+        ),
     )
 
 

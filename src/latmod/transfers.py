@@ -1,7 +1,6 @@
 """Enumeration of transfer systems and the lattice they form."""
 from __future__ import annotations
 
-import operator
 from typing import Callable, Iterator
 
 from .arrows import (
@@ -13,7 +12,14 @@ from .arrows import (
     _tables,
 )
 from .errors import NotALattice, NotATransferSystem
-from .lattice import Arrow, FiniteLattice, _cached, build_lattice, hasse_covers
+from .lattice import (
+    Arrow,
+    FiniteLattice,
+    _cached,
+    build_lattice,
+    containment_rows,
+    hasse_covers,
+)
 
 
 class TransferCatalog:
@@ -180,7 +186,7 @@ def tr_as_lattice(catalog: TransferCatalog) -> FiniteLattice:
         labels,
         [
             (labels[i], labels[j])
-            for i, j in hasse_covers(systems, operator.le)
+            for i, j in hasse_covers(containment_rows([s.mask for s in systems]))
         ],
     )
     # Catalog order is a linear extension of containment, so positions

@@ -366,6 +366,69 @@ def systems_between(systems: list[int], lo: int, hi: int) -> list[int]:
     return [s for s in systems if not lo & ~s and not s & ~hi]
 
 
+def hasse_covers_pairs(items, le) -> list[Pair]:
+    """Cover pairs (i, j), row-major, comparing every pair i < j with le.
+
+    The items are listed in a linear extension of le.  Row i is the mask
+    of the j > i with le(items[i], items[j]); j covers i when no other
+    member of row i has j in its own row.
+    """
+    above = [
+        sum(1 << j for j in range(i + 1, len(items)) if le(a, items[j]))
+        for i, a in enumerate(items)
+    ]
+    covers = []
+    for i, row in enumerate(above):
+        between = 0
+        for k in range(len(items)):
+            if row >> k & 1:
+                between |= above[k]
+        covers += [(i, j) for j in range(len(items)) if (row & ~between) >> j & 1]
+    return covers
+
+
+def lift_chunks(t) -> list[tuple]:
+    """Every lifting chunk of the tables t as (offset, llp, rlp, role)."""
+    return [(0, *t.lift_first), *t.lift_rest]
+
+
+def lift_loop(t, mask: int, column: int) -> int:
+    """llp (column 1) or rlp (column 2) of mask, one entry per chunk.
+
+    Every chunk is read the same way, at its offset, starting from the
+    full mask.
+    """
+    lift = t.full
+    for chunk in lift_chunks(t):
+        lift &= chunk[column][mask >> chunk[0] & t.chunk_bits]
+    return lift
+
+
+def verify_loop(model) -> bool:
+    """verify_model_axioms with one loop over every chunk, the first too.
+
+    The classes must share one lattice.  Same reads, identities and
+    order of checks as the library.
+    """
+    lat, weq, af, cof, ac, fib = model
+    t = _tables(lat)
+    weq, af, cof, ac, fib = weq.mask, af.mask, cof.mask, ac.mask, fib.mask
+    lift_af = lift_fib = lift_cof = lift_ac = t.full
+    count = 0
+    low = t.chunk_bits
+    for s, llp, rlp, role in lift_chunks(t):
+        lift_af &= llp[af >> s & low]
+        lift_fib &= llp[fib >> s & low]
+        lift_cof &= rlp[cof >> s & low]
+        lift_ac &= rlp[ac >> s & low]
+        count += role[weq >> s & low]
+    if lift_af != cof or lift_cof != af or lift_fib != ac or lift_ac != fib:
+        return False
+    if af & ~weq or ac != cof & weq or af != fib & weq:
+        return False
+    return not count >> 1 & ~count & t.role_base
+
+
 def two_of_three_pass(t, mask: int) -> int:
     """One pass completing every triangle that holds exactly two arrows.
 

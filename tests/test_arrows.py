@@ -39,6 +39,7 @@ from oracles import (
     all_transfer_systems_naive,
     compose_close,
     generated_transfer_by_intersection,
+    lift_chunks,
     naive_llp,
     naive_rlp,
     pullback_close,
@@ -429,12 +430,14 @@ def naive_dual(naive, pairs, leq, mask):
 
 @pytest.mark.parametrize("table", ["kill_llp", "kill_rlp", "roles"])
 def test_byte_tables_match_the_row_unions(corpus, table):
-    # Each column of lift_chunks against an oracle: the llp and rlp
+    # Each column of the lifting chunks against an oracle: the llp and rlp
     # columns (built from the kill_llp and kill_rlp rows) as intersections
     # through naive_llp and naive_rlp, the roles as per-triangle counts
     # from the triples.  The chunks are balanced, at most 12 bits wide: one
     # on grid2x1 (12 arrows), two on chain5 (15) and the cube (19), three
-    # on grid2x2 (27), none on the one-element lattice.
+    # on grid2x2 (27).  lift_first is the first chunk, at offset 0, and
+    # lift_rest the others; the one-element lattice has a first chunk of
+    # one entry and no other.
     lattices = [
         *corpus.values(),
         chain(5),
@@ -454,11 +457,13 @@ def test_byte_tables_match_the_row_unions(corpus, table):
         w = t.chunk_bits.bit_length()
         assert w <= 12
         # As few chunks as 12 bits allow, each as wide as the first.
-        assert len(t.lift_chunks) == -(-m // 12) == (-(-m // w) if m else 0)
-        assert [entry[0] for entry in t.lift_chunks] == list(range(0, m, w or 1))
-        chunks = tuple(entry[column] for entry in t.lift_chunks)
+        every = lift_chunks(t)
+        assert len(t.lift_first) == 3
+        assert len(every) == max(-(-m // 12), 1) == (-(-m // w) if m else 1)
+        assert [entry[0] for entry in every] == list(range(0, max(m, 1), w or 1))
+        chunks = tuple(entry[column] for entry in every)
         assert [len(chunk) for chunk in chunks] == [
-            1 << min(w, m - s) for s in range(0, m, w or 1)
+            1 << min(w, m - s) for s in range(0, max(m, 1), w or 1)
         ]
         masks = [1 << i for i in range(m)] + [t.full]
         masks += [rng.getrandbits(m) for _ in range(200)]
@@ -466,12 +471,12 @@ def test_byte_tables_match_the_row_unions(corpus, table):
             # Chunk c's entry at the bits of the mask it covers.
             parts = [
                 chunk[mask >> s & t.chunk_bits]
-                for (s, *_), chunk in zip(t.lift_chunks, chunks)
+                for (s, *_), chunk in zip(every, chunks)
             ]
             if table == "roles":
                 # Each entry counts the arrows of its chunk, and the
                 # entries add up to the mask's counts.
-                for (s, *_), part in zip(t.lift_chunks, parts):
+                for (s, *_), part in zip(every, parts):
                     assert part == role_counts(t, mask & t.chunk_bits << s)
                 assert sum(parts) == role_counts(t, mask)
             else:
@@ -495,10 +500,9 @@ def test_role_table_check_matches_the_triangle_oracle(pentagon, square, grid21):
     for lat in (pentagon, square, grid21, chain(5)):
         t = _tables(lat)
         assert t.role_base.bit_length() == 2 * len(t.triples) - 1
+        every = lift_chunks(t)
         for mask in range(1 << len(lat.arrows)):
-            count = sum(
-                role[mask >> s & t.chunk_bits] for s, _, _, role in t.lift_chunks
-            )
+            count = sum(role[mask >> s & t.chunk_bits] for s, _, _, role in every)
             want = two_of_three_pass(t, mask) == mask
             assert (not count >> 1 & ~count & t.role_base) == want
 

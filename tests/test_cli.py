@@ -688,8 +688,9 @@ def test_output_is_utf8_in_files_and_a_failed_write_on_an_ascii_stdout(
 # sha256 of the exports by format.  The JSON digests were taken from the
 # implementation before the localization layer moved to mask operations,
 # the DOT digests from the implementation before the lattice core moved
-# from numpy to int masks; any change to the bytes of these outputs must
-# be deliberate.
+# from numpy to int masks, and the grid3x1 DOT digests (544 transfer
+# systems, 1,483 models) from the all-pairs cover search; any change to
+# the bytes of these outputs must be deliberate.
 EXPORT_DIGESTS = {
     "json": {
         ("graph", "square"): "5721f8c837f212b61e5a2596590df0bd95d4950645accfcfd62c3fb33a91014d",
@@ -705,9 +706,11 @@ EXPORT_DIGESTS = {
         ("transfers", "square"): "e69aa80d44307fe04da428aebc9f4d3b0e9356474d505854563fc0776a1c07a7",
         ("transfers", "grid2x1"): "ee3c2d89ee1b0001fb9d61e829192dc353e5727eab96c2b47506c636a01a5beb",
         ("transfers", "chain4"): "ee594d2a196c2564be8805c4bacdcb8b6318f73d6eb5f49aef7009986166c1fa",
+        ("transfers", "grid3x1"): "537635a2010d838d11dfe100a9efae505ba05a30678a280c9d5399949794b004",
         ("models", "square"): "34d33789630406beac04517f0a270eb0fde5fdf483d7d39e087fe4ed256ef3fd",
         ("models", "grid2x1"): "2c2986445e6965523a8fed4339d038e60e1390cfaa4ca90ba9ff958af72dc338",
         ("models", "chain4"): "1b968108a412f071c7e5821997ec7ef9d76d8d011728d3d708e204d4e2b66f98",
+        ("models", "grid3x1"): "dc6b978907a2e2f15942402e745b60f3ab7736f98ebdf4b0220c0b8d3942c11c",
         ("graph", "square"): "4a37aaef964c66ac1322e287b81880b58f0ae5eb177817732b7ab1f60f0b9565",
         ("graph", "grid2x1"): "502cff81278e3566cebe5d2686b55db9b7003963ddbfcb076dbf49018760997f",
         ("graph", "chain4"): "ec697aceefa64bf5d53a170e4d64f3d28c6b18a5a52bd0b1cb48bc28b546db67",

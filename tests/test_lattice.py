@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -23,10 +24,12 @@ from latmod import (
     pullbacks_of,
     pushouts_of,
 )
+from latmod.lattice import containment_rows, hasse_covers
 
-from conftest import lattice_as_sets
+from conftest import chain_union, lattice_as_sets
 from oracles import (
     contains_pentagon,
+    hasse_covers_pairs,
     naive_covers,
     naive_is_modular,
     naive_join,
@@ -71,6 +74,34 @@ def test_covers_match_oracle(corpus):
     for lat in corpus.values():
         n, leq, covers, _, _ = lattice_as_sets(lat)
         assert covers == naive_covers(n, leq)
+
+
+def test_element_covers_are_the_all_pairs_covers(corpus):
+    # FiniteLattice.covers comes from the rows up[x] without x; the oracle
+    # compares every pair with le.
+    for lat in (*corpus.values(), n5(), chain(0), chain_union(1, 2, 3),
+                product(product(chain(1), chain(2)), chain(1))):
+        want = hasse_covers_pairs(range(lat.n), lat.le)
+        assert [tuple(c) for c in lat.covers] == want
+
+
+def test_containment_covers_are_the_all_pairs_covers():
+    # Random families of distinct masks in increasing order, a linear
+    # extension of containment: the same pairs, in the same order.
+    def subset(a, b):
+        return not a & ~b
+
+    rng = random.Random(8191)
+    for width in (0, 1, 3, 6, 10, 16):
+        for size in (0, 1, 2, 5, 20, 60):
+            masks = sorted(set(rng.getrandbits(width) for _ in range(size)))
+            rows = containment_rows(masks)
+            assert hasse_covers(rows) == hasse_covers_pairs(masks, subset)
+    # Every subset of a 4-set: the covers add one element.
+    masks = list(range(16))
+    assert hasse_covers(containment_rows(masks)) == [
+        (i, i | 1 << b) for i in masks for b in range(4) if not i >> b & 1
+    ]
 
 
 def test_modularity_matches_oracle(corpus):

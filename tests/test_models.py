@@ -24,9 +24,11 @@ from latmod import (
     is_weak_equivalence_set,
     is_wide_decomposable,
     k_max,
+    llp_dual,
     localization_graph,
     n5,
     product,
+    rlp_dual,
     t_max,
     t_min,
     transfer_catalog,
@@ -46,11 +48,13 @@ from oracles import (
     is_transfer_naive,
     lex_key,
     naive_is_weak_equivalence_set,
+    lift_loop,
     premodel_tiers,
     pushout_close,
     systems_between,
     two_of_three_pass,
     union_inside,
+    verify_loop,
 )
 
 
@@ -768,6 +772,53 @@ def test_axioms_reject_every_one_arrow_change_of_a_class(pentagon, square, grid2
                     flipped = ArrowSet(lat, mask ^ 1 << i)
                     changed = model._replace(**{name: flipped})
                     assert not verify_model_axioms(changed)
+
+
+@pytest.mark.parametrize("name", ["n5", "grid2x1", "chain5", "grid2x2"])
+def test_verify_and_duals_match_the_loop_over_every_chunk(name):
+    # The library reads the first lifting chunk outside its loop; the
+    # oracle loops over every chunk from the full mask.  On every model and
+    # every one-arrow flip of its W: the same verdict, and the same llp
+    # and rlp of each class.  n5 and grid2x1 have one chunk, chain5 two,
+    # grid2x2 three.
+    lat = {
+        "n5": n5(),
+        "grid2x1": product(chain(2), chain(1)),
+        "chain5": chain(5),
+        "grid2x2": product(chain(2), chain(2)),
+    }[name]
+    t = _tables(lat)
+    assert len(t.lift_rest) == {"n5": 0, "grid2x1": 0, "chain5": 1, "grid2x2": 2}[name]
+    models = enumerate_model_structures(lat)
+    verdicts = 0
+    for model in models:
+        assert verify_model_axioms(model) is verify_loop(model) is True
+        for aset in model[1:]:
+            assert llp_dual(aset).mask == lift_loop(t, aset.mask, 1)
+            assert rlp_dual(aset).mask == lift_loop(t, aset.mask, 2)
+        for i in range(len(lat.arrows)):
+            weq = ArrowSet(lat, model.weq.mask ^ 1 << i)
+            flipped = model._replace(weq=weq)
+            verdict = verify_model_axioms(flipped)
+            assert verdict == verify_loop(flipped)
+            verdicts += verdict
+            assert llp_dual(weq).mask == lift_loop(t, weq.mask, 1)
+            assert rlp_dual(weq).mask == lift_loop(t, weq.mask, 2)
+    assert verdicts == 0
+
+
+def test_verify_and_duals_on_the_lattice_with_no_arrows():
+    # chain(0) has one element and no arrows: a first chunk of one entry
+    # and no other, one model, and the empty set lifts against itself.
+    lat = chain(0)
+    t = _tables(lat)
+    assert (lat.arrows, t.full, t.chunk_bits) == ((), 0, 0)
+    assert t.lift_first == ((0,), (0,), (0,)) and t.lift_rest == ()
+    (model,) = enumerate_model_structures(lat)
+    assert model.key() == (0, 0)
+    assert verify_model_axioms(model) and verify_loop(model)
+    empty = ArrowSet.empty(lat)
+    assert llp_dual(empty) == rlp_dual(empty) == empty
 
 
 def test_enumeration_is_grouped_and_deterministic(pentagon):

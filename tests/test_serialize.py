@@ -1,6 +1,7 @@
 """Round trips and exports for the JSON and DOT formats."""
 import json
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from latmod import (
     enumerate_model_structures,
     golden_arrows,
     localization_graph,
+    n5,
+    product,
     transfer_catalog,
 )
 from latmod.serialize import (
@@ -31,6 +34,8 @@ from latmod.serialize import (
     serialize_model,
     systems_dot,
 )
+
+from oracles import hasse_covers_pairs
 
 
 def test_lattice_roundtrip(corpus):
@@ -159,6 +164,33 @@ def test_models_dot_on_a_chain():
         "  n1 -> n2;",
         "}",
     ]
+
+
+def _dot_edges(dot):
+    return [
+        (int(i), int(j)) for i, j in re.findall(r"^  n(\d+) -> n(\d+);$", dot, re.M)
+    ]
+
+
+@pytest.mark.parametrize("name", ["n5", "grid2x1", "cube"])
+def test_dot_covers_are_the_all_pairs_covers(name):
+    # The DOT edges of the transfer catalog and of the model structures,
+    # read from membership rows, against every pair compared by containment
+    # (componentwise on the model keys (W, AF)).
+    lat = {
+        "n5": n5(),
+        "grid2x1": product(chain(2), chain(1)),
+        "cube": product(product(chain(1), chain(1)), chain(1)),
+    }[name]
+    systems = transfer_catalog(lat).systems
+    want = hasse_covers_pairs([s.mask for s in systems], lambda a, b: not a & ~b)
+    assert _dot_edges(systems_dot(systems)) == want
+    models = enumerate_model_structures(lat)
+    want = hasse_covers_pairs(
+        [m.key() for m in models],
+        lambda a, b: not (a[0] & ~b[0] or a[1] & ~b[1]),
+    )
+    assert _dot_edges(models_dot(models)) == want
 
 
 def test_localization_graph_dot_styles():

@@ -96,7 +96,8 @@ N5_CSV_SHA256 = "913bf2521f642ce921c9503f1cd971e7bb3354d14355d2fa435aaf10c4ee5b4
 
 def test_runs_without_dataclasses_or_an_eager_csv():
     # Records are slotted classes or named tuples, so nothing needs
-    # dataclasses; csv is imported by the CSV export alone.
+    # dataclasses; csv is imported by the CSV export alone, and json only
+    # where JSON is read or written.
     blocked = _run_python(
         "import sys\n"
         "sys.modules['dataclasses'] = None\n"
@@ -105,10 +106,13 @@ def test_runs_without_dataclasses_or_an_eager_csv():
     )
     assert blocked.returncode == 0, blocked.stderr
     imported = _run_python(
-        "import sys, latmod.cli\n"
-        "print('dataclasses' in sys.modules, 'csv' in sys.modules)\n"
+        "import sys\n"
+        "json_at_start = 'json' in sys.modules\n"
+        "import latmod.cli\n"
+        "print('dataclasses' in sys.modules, 'csv' in sys.modules,\n"
+        "      json_at_start or 'json' in sys.modules)\n"
     )
-    assert (imported.returncode, imported.stdout) == (0, "False False\n")
+    assert (imported.returncode, imported.stdout) == (0, "False False False\n")
     exported = _run_python(
         "import hashlib, io, sys\n"
         "from contextlib import redirect_stdout\n"
