@@ -10,6 +10,12 @@ tests check that, with the old ones, they generate W' & F.  W' depends
 on (W, arrow, side) alone, so each lattice keeps one shared localization
 map (W, arrow, side) -> W' that the graph and single calls fill and read:
 the closure runs once per triple.  Golden reports are kept per (W, cover).
+A single localization's target reads W, the arrow and one more mask, the
+key: F on the right and AF on the left.  So each side keeps a target map
+W -> key -> a row of targets, one entry per arrow, that only single calls
+fill and read: one row of m entries per (W, key) a call touched, which the
+graph never builds.  Once W' reads the kept class, the left key must hold
+C as well.
 """
 from __future__ import annotations
 
@@ -197,11 +203,11 @@ def _localizer(
 ) -> Callable[[ModelStructure, Arrow], ModelStructure]:
     # The side's localization, with the side and the class it keeps bound,
     # so a warm call is this one frame and compares no string.  Models are
-    # read by field index, cheaper than by name on a NamedTuple.  Warm,
-    # int-keyed dict subscripts: W' in W's row of the side's localization
-    # map, then W''s model table and AF' in it.  A miss runs the closure,
-    # or derive_classes with the check on, which builds the table or
-    # raises that pair's error.
+    # read by field index, cheaper than by name on a NamedTuple.  The
+    # target map is keyed by F on the right and AF on the left because
+    # those are the only masks besides W that the target reads (AF' =
+    # W' & F, or AF' = AF).  The left key does not hold the kept class C,
+    # so every call, hit or miss, still compares it.
     right = side == "right"
     lattice, weq, af, keeps = map(
         ModelStructure._fields.index,
@@ -216,20 +222,26 @@ def _localizer(
             k = lat.arrow_index(f)
         if w >> k & 1:
             return model
-        cache = lat._cache
-        try:
-            new_weq = cache["localized_weq"][side][w][k]
-        except KeyError:  # no row for W yet
-            new_weq = 0
-        if not new_weq:
-            new_weq = _localized_weq(lat, w, k, side)
-        # Right localization keeps F, so AF' = W' & F; left keeps C and AF.
         kept = model[keeps].mask
-        new_af = new_weq & kept if right else model[af].mask
+        key = kept if right else model[af].mask
         try:
-            localized = cache["model_tables"][new_weq][new_af]
-        except KeyError:  # no table for W', or no AF' in it
-            localized = derive_classes(ArrowSet(lat, new_weq), ArrowSet(lat, new_af))
+            localized = lat._cache["localized"][side][w][key][k]
+        except KeyError:  # no row for (W, key) yet
+            localized = None
+        if localized is None:
+            new_weq = _localized_weq(lat, w, k, side)
+            new_af = new_weq & key if right else key
+            try:
+                localized = lat._cache["model_tables"][new_weq][new_af]
+            except KeyError:  # no table for W', or no AF' in it
+                localized = derive_classes(
+                    ArrowSet(lat, new_weq), ArrowSet(lat, new_af)
+                )
+            rows = lat._cache["localized"][side].setdefault(w, {})
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [None] * len(lat.arrows)
+            row[k] = localized
         if localized[keeps].mask != kept:
             raise _not_kept(model, lat.arrows[k], side)
         return localized

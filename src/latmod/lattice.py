@@ -59,7 +59,8 @@ class FiniteLattice:
         # W's mask, that warm queries read directly.
         self._cache: dict[Hashable, Any] = {
             "model_tables": {}, "golden": {},
-            "localized_weq": {"left": {}, "right": {}}}
+            "localized_weq": {"left": {}, "right": {}},
+            "localized": {"left": {}, "right": {}}}
 
     # Identity-based equality: lattices are immutable and shared by reference.
     __hash__ = object.__hash__

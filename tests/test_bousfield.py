@@ -39,7 +39,7 @@ from latmod import (
 )
 from latmod import bousfield
 from latmod.bousfield import LocalizationEdge, LocalizationGraph
-from latmod.errors import FixpointError
+from latmod.errors import FixpointError, LatmodError
 
 from conftest import chain_union, lattice_as_sets
 from oracles import (
@@ -226,13 +226,14 @@ def test_right_localize_at_a_cover_runs_the_fixpoint_once(
     assert len(calls) == 1
 
 
-def answer(call, *args):
+def answer(call, *args, refusals=NotShort):
     # A query's answer as plain data: a structure by key and signature,
-    # golden reports by their fields, a refusal by type and message.
+    # golden reports by their fields, a refusal by type and message.  Only
+    # the refusals named are answers; any other error fails the test.
     try:
         out = call(*args)
-    except NotShort as err:
-        return "NotShort", str(err)
+    except refusals as err:
+        return type(err).__name__, str(err)
     if isinstance(out, ModelStructure):
         return out.key(), out.signature()
     return [
@@ -246,8 +247,9 @@ def emptied(lat):
     # next query misses every entry; the closure tables stay.
     for kind in ("model_tables", "golden"):
         lat._cache[kind].clear()
-    for rows in lat._cache["localized_weq"].values():
-        rows.clear()
+    for kind in ("localized_weq", "localized"):
+        for rows in lat._cache[kind].values():
+            rows.clear()
     return lat
 
 
@@ -288,6 +290,77 @@ def test_warm_answers_equal_cold_answers(build, each_call):
                 if each_call:
                     emptied(cold)
                 assert answer(call, model, f) == answer(call, copy, f)
+
+
+def over(lat, model):
+    """model with each class rebuilt on lat, by mask."""
+    return ModelStructure(lat, *(ArrowSet(lat, s.mask) for s in model[1:]))
+
+
+@pytest.mark.parametrize(
+    "build", [n5, lambda: product(chain(1), chain(1))], ids=["n5", "square"]
+)
+def test_a_warm_localization_reads_exactly_its_inputs(build):
+    # The target map is keyed by W and the one other mask the target reads:
+    # F on the right, AF on the left.  It is filled from every enumerated
+    # model at every arrow outside W; then each model has one class swapped
+    # for another model's over the same W, AF or C on the right, C or F on
+    # the left, so it shares (W, F) or (W, AF) with an enumerated model.
+    # Every answer must equal a fresh lattice's cold one: a right key of AF
+    # or a left key of C would read another model's entry, and a hit that
+    # skipped the kept-class check would return a target whose C is not
+    # the swapped one.
+    refusals = (LatmodError, FixpointError)
+    warm, cold = build(), build()
+    models = enumerate_model_structures(warm)
+    outside = {m.weq.mask: [f for f in warm.arrows if f not in m.weq] for m in models}
+    for model in models:
+        for f in outside[model.weq.mask]:
+            answer(left_localize, model, f, refusals=refusals)
+            answer(right_localize, model, f, refusals=refusals)
+    assert all(warm._cache["localized"].values())
+    swaps = {right_localize: ("acyclic_fib", "cof"), left_localize: ("cof", "fib")}
+    compared = refused = 0
+    for model in models:
+        for other in models:
+            if other.weq != model.weq or other is model:
+                continue
+            for call, fields in swaps.items():
+                for field in fields:
+                    swapped = model._replace(**{field: getattr(other, field)})
+                    for f in outside[model.weq.mask]:
+                        got = answer(call, swapped, f, refusals=refusals)
+                        want = answer(
+                            call, over(emptied(cold), swapped), f,
+                            refusals=refusals,
+                        )
+                        assert got == want
+                        compared += 1
+                        refused += got[0] == "FixpointError"
+    assert compared and refused
+
+
+def test_only_single_localizations_fill_the_target_map():
+    # The graph and the golden reports read W' alone and leave the target
+    # map empty; one single localization adds one row, with one entry set.
+    lat = cube()
+    graph = localization_graph(lat)
+    for model in graph.structures:
+        for c in lat.covers:
+            golden_arrows(model, c)
+    targets = lat._cache["localized"]
+    assert targets == {"left": {}, "right": {}}
+    e = next(e for e in graph.edges if e.side == "right")
+    model = graph.structures[e.src]
+    assert right_localize(model, e.at) is graph.structures[e.dst]
+    assert targets["left"] == {}
+    assert list(targets["right"]) == [model.weq.mask]
+    assert list(targets["right"][model.weq.mask]) == [model.fib.mask]
+    row = targets["right"][model.weq.mask][model.fib.mask]
+    assert len(row) == len(lat.arrows)
+    assert [k for k, entry in enumerate(row) if entry is not None] == [
+        lat.arrow_position[e.at]
+    ]
 
 
 @pytest.mark.parametrize("long_arrow", ["0,1", "0,C"], ids=["outside-W", "in-W"])
@@ -610,7 +683,7 @@ def test_localization_graph(name, corpus):
         assert e.src != e.dst
         op = right_localize if e.side == "right" else left_localize
         redone = op(model, e.at)
-        assert redone.key() == target.key()
+        assert redone is target
         assert model.weq < redone.weq
         if e.side == "left":
             assert redone.cof == model.cof
